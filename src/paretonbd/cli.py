@@ -10,13 +10,17 @@ Subcommands mirror the pipeline stages so each is runnable on its own:
   evaluate   score forecast CSVs against observed holdout counts
   run        the whole pipeline from a config file
 
-Stage seeds inside `run` derive from the global seed; the same artifacts
-can be reproduced stage by stage with explicitly passed seeds.
+The stage subcommands call the same stage functions as `run` (see
+paretonbd.experiment).  Flags that set an ExperimentConfig field default to
+that field's value; `run` layers them over its config file instead.  Stage
+seeds inside `run` derive from the global seed; the same artifacts can be
+reproduced stage by stage with explicitly passed seeds.
 """
 
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 from . import config as config_mod
 from . import data, experiment, forecast, gibbs, network, simulate
@@ -26,6 +30,18 @@ def _require(path):
     if not os.path.exists(path):
         raise ValueError(f"missing expected file: {path}")
     return path
+
+
+_CONFIG_FIELDS = {f.name for f in fields(config_mod.ExperimentConfig)}
+
+
+def _config(args, base=None):
+    """Layer the config-field flags that were given over base (by default
+    ExperimentConfig()); flags left unset parse to None and are skipped."""
+    given = {k: tuple(v) if isinstance(v, list) else v
+             for k, v in vars(args).items()
+             if k in _CONFIG_FIELDS and v is not None}
+    return replace(base or config_mod.ExperimentConfig(), **given)
 
 
 def _align_labels(table, ids, lam, mu, path):
@@ -43,13 +59,9 @@ def _align_labels(table, ids, lam, mu, path):
 
 
 def cmd_ingest(args):
-    _require(args.input)
-    if args.format == "cdnow":
-        log = data.ingest_cdnow(args.input)
-    else:
-        log = data.ingest_csv(args.input)
-    if args.merge_same_day:
-        log = data.merge_same_day(log)
+    cfg = _config(args)
+    _require(cfg.dataset)
+    log = experiment.load_log(cfg)
     data.write_transactions_csv(args.out, log)
     print(f"{len(log.records)} records, {len(log.customer_ids())} customers, "
           f"{log.start_date} .. {log.end_date} -> {args.out}")
@@ -73,14 +85,9 @@ def cmd_simulate(args):
 
 def cmd_fit_mcmc(args):
     table = data.CalibrationTable.from_csv(_require(args.summaries))
-    cfg = gibbs.ChainConfig(sweeps=args.sweeps, burn_in=args.burn_in,
-                            thin=args.thin, seed=args.seed,
-                            keep_hyper_trace=args.trace is not None)
-    post = gibbs.run_chain(table, cfg)
-    gibbs.write_labels_csv(args.out, post.customer_ids,
-                           post.mean_lambda, post.mean_mu)
-    if args.trace is not None:
-        gibbs.write_hyper_trace_csv(args.trace, post.hyper_trace)
+    cfg = _config(args)
+    post = experiment.fit_labels(table, cfg, cfg.seed, args.out,
+                                 trace_path=args.trace)
     h = post.hyper_mean
     print(f"{len(table)} customers -> {args.out}  "
           f"posterior mean (r, alpha, s, beta) = "
@@ -92,24 +99,10 @@ def cmd_train_nn(args):
     table = data.CalibrationTable.from_csv(_require(args.summaries))
     ids, lam, mu = gibbs.read_labels_csv(_require(args.labels))
     lam, mu = _align_labels(table, ids, lam, mu, args.labels)
-    spec = network.NetworkSpec(
-        input_dim=table.features().shape[1],
-        hidden_layers=args.hidden_layers, hidden_width=args.hidden_width,
-        dropout_p=args.dropout)
-    cfg = network.TrainingConfig(
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, seed=args.seed,
-        early_stop_patience=args.patience,
-        validation_fraction=args.validation_fraction)
-    w, scaler, history = network.train(
-        table, lam, mu, cfg, args.loss, spec=spec,
-        ratio_interpretation=args.ratio_interpretation)
-    network.save_model(args.out, spec, w, scaler,
-                       meta={"loss": args.loss,
-                             "ratio_interpretation": args.ratio_interpretation,
-                             "epochs_run": len(history)})
-    if args.history is not None:
-        network.write_history_csv(args.history, history)
+    cfg = _config(args)
+    _, _, history = experiment.fit_model(
+        table, lam, mu, cfg, args.loss, cfg.seed, args.out,
+        history_path=args.history)
     last = history[-1] if history else (None, float("nan"), float("nan"))
     print(f"loss {args.loss}: {len(history)} epochs, "
           f"final train {last[1]:.6g}, val {last[2]:.6g} -> {args.out}")
@@ -124,10 +117,8 @@ def cmd_predict(args):
     else:
         ids, lam, mu = gibbs.read_labels_csv(_require(args.labels))
         lam, mu = _align_labels(table, ids, lam, mu, args.labels)
-    fc = forecast.make_forecast(table, lam, mu, args.horizon,
-                                threshold=args.threshold,
-                                rounding=args.rounding)
-    forecast.write_forecast_csv(args.out, fc)
+    fc = experiment.write_forecast(table, lam, mu, args.horizon,
+                                   _config(args), args.out)
     print(f"{len(fc)} customers, {int(fc.count_pred.sum())} predicted purchases, "
           f"{int(fc.inactive_pred.sum())} predicted inactive -> {args.out}")
     return 0
@@ -147,11 +138,12 @@ def cmd_evaluate(args):
         forecasts[name] = fc
     if args.baseline is not None and args.baseline not in forecasts:
         raise ValueError(f"baseline {args.baseline!r} not among the forecasts")
+    cap = _config(args).cap
     os.makedirs(args.out, exist_ok=True)
     reports = experiment.evaluate_forecasts(
-        table.holdout_count, forecasts, args.baseline, args.cap)
+        table.holdout_count, forecasts, args.baseline, cap)
     written = experiment.write_metric_tables(
-        args.out, reports, table.holdout_count, args.cap)
+        args.out, reports, table.holdout_count, cap)
     for rep in reports:
         cons = "" if rep.consistency is None else f", consistency {rep.consistency:.4f}"
         print(f"{rep.model}: accuracy {rep.inactive_accuracy:.4f}, "
@@ -162,19 +154,7 @@ def cmd_evaluate(args):
 
 
 def cmd_run(args):
-    cfg = config_mod.parse_config(_require(args.config))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.loss:
-        cfg.losses = tuple(args.loss)
-    if args.threshold is not None:
-        cfg.threshold = args.threshold
-    if args.rounding is not None:
-        cfg.rounding = args.rounding
-    if args.cap is not None:
-        cfg.cap = args.cap
+    cfg = _config(args, config_mod.parse_config(_require(args.config)))
     _require(cfg.dataset)
     result = experiment.run_experiment(cfg)
     for rep in result.reports:
@@ -191,9 +171,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="normalize a raw transactions file")
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("csv", "cdnow"), default="csv")
-    p.add_argument("--merge-same-day", action="store_true")
+    p.add_argument("--input", dest="dataset", metavar="INPUT", required=True)
+    p.add_argument("--format", choices=("csv", "cdnow"))
+    p.add_argument("--merge-same-day", action="store_const", const=True)
     p.add_argument("--out", required=True, help="output transactions CSV")
     p.set_defaults(func=cmd_ingest)
 
@@ -211,10 +191,10 @@ def build_parser():
 
     p = sub.add_parser("fit-mcmc", help="Gibbs-sample (lam, mu) posteriors")
     p.add_argument("--summaries", required=True)
-    p.add_argument("--sweeps", type=int, default=4000)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--thin", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sweeps", type=int)
+    p.add_argument("--burn-in", type=int)
+    p.add_argument("--thin", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--trace", help="optional hyperparameter trace CSV")
     p.add_argument("--out", required=True, help="output labels CSV")
     p.set_defaults(func=cmd_fit_mcmc)
@@ -224,16 +204,16 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--loss", choices=network.LOSS_KINDS, required=True)
     p.add_argument("--ratio-interpretation",
-                   choices=network.RATIO_INTERPRETATIONS, default="weighted_nll")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--validation-fraction", type=float, default=0.1)
-    p.add_argument("--hidden-layers", type=int, default=2)
-    p.add_argument("--hidden-width", type=int, default=20)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+                   choices=network.RATIO_INTERPRETATIONS)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--validation-fraction", type=float)
+    p.add_argument("--hidden-layers", type=int)
+    p.add_argument("--hidden-width", type=int)
+    p.add_argument("--dropout", dest="dropout_p", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--history", help="optional training history CSV")
     p.add_argument("--out", required=True, help="output model JSON")
     p.set_defaults(func=cmd_train_nn)
@@ -244,9 +224,8 @@ def build_parser():
     src.add_argument("--model", help="model JSON from train-nn")
     src.add_argument("--labels", help="labels CSV with explicit (lam, mu)")
     p.add_argument("--horizon", type=float, required=True, help="weeks")
-    p.add_argument("--threshold", type=float, default=forecast.DEFAULT_THRESHOLD)
-    p.add_argument("--rounding", choices=forecast.ROUNDING_MODES,
-                   default="half_away")
+    p.add_argument("--threshold", type=float)
+    p.add_argument("--rounding", choices=forecast.ROUNDING_MODES)
     p.add_argument("--out", required=True, help="output forecast CSV")
     p.set_defaults(func=cmd_predict)
 
@@ -256,14 +235,15 @@ def build_parser():
     p.add_argument("--forecast", action="append", required=True,
                    metavar="NAME=PATH", help="repeatable")
     p.add_argument("--baseline", help="forecast name anchoring consistency")
-    p.add_argument("--cap", type=int, default=7)
+    p.add_argument("--cap", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("run", help="full pipeline from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--loss", action="append", choices=network.LOSS_KINDS,
+    p.add_argument("--loss", dest="losses", action="append",
+                   choices=network.LOSS_KINDS,
                    help="repeatable; overrides the configured loss list")
     p.add_argument("--threshold", type=float)
     p.add_argument("--rounding", choices=forecast.ROUNDING_MODES)

@@ -4,38 +4,42 @@ Lines are `key = value`; blank lines and lines starting with `#` are
 ignored.  Lists are comma-separated.  Booleans are true/false.  Unknown
 keys are rejected so typos fail loudly.
 
-Schema (defaults in parentheses):
+Schema (defaults are the field defaults of ExperimentConfig, which take
+the chain, network and training defaults from ChainConfig, NetworkSpec and
+TrainingConfig):
 
-  dataset                path to the transactions file        (required)
-  format                 csv | cdnow                          (csv)
-  merge_same_day         true | false                         (false)
-  covariates             subset of units,total_spend,mean_spend  (empty)
-  train_fraction         in-sample share of customers         (0.6)
-  sweeps                 Gibbs sweeps                         (4000)
-  burn_in                discarded sweeps                     (1000)
-  thin                   keep every k-th sweep                (2)
-  hidden_layers          hidden layer count                   (2)
-  hidden_width           units per hidden layer               (20)
-  dropout_p              hidden dropout probability           (0.2)
-  epochs                 max training epochs                  (500)
-  batch_size             minibatch size                       (256)
-  learning_rate          Adam step size                       (0.001)
-  patience               early-stop patience, 0 disables      (10)
-  validation_fraction    held-back validation share           (0.1)
-  losses                 loss kinds to train                  (all eight)
-  ratio_interpretation   weighted_nll | abs_log_ratio         (weighted_nll)
-  threshold              inactive if p_alive < threshold      (0.5)
-  rounding               half_away | floor | nearest          (half_away)
-  cap                    histogram overflow bin start         (7)
-  horizon_weeks          forecast horizon override            (holdout length)
-  out                    output directory                     (required)
-  seed                   global seed                          (0)
+  dataset                path to the transactions file (required)
+  format                 csv | cdnow
+  merge_same_day         true | false
+  covariates             subset of units,total_spend,mean_spend
+  train_fraction         in-sample share of customers
+  sweeps                 Gibbs sweeps
+  burn_in                discarded sweeps
+  thin                   keep every k-th sweep
+  hidden_layers          hidden layer count
+  hidden_width           units per hidden layer
+  dropout_p              hidden dropout probability
+  epochs                 max training epochs
+  batch_size             minibatch size
+  learning_rate          Adam step size
+  patience               early-stop patience, 0 disables
+  validation_fraction    held-back validation share
+  losses                 loss kinds to train (all eight by default)
+  ratio_interpretation   weighted_nll | abs_log_ratio
+  threshold              inactive if p_alive < threshold
+  rounding               half_away | floor | nearest
+  cap                    histogram overflow bin start
+  horizon_weeks          forecast horizon override (default: holdout length)
+  out                    output directory (required)
+  seed                   global seed
 """
 
 from dataclasses import dataclass, fields
 
-from .forecast import ROUNDING_MODES
-from .network import LOSS_KINDS, RATIO_INTERPRETATIONS
+from .forecast import DEFAULT_THRESHOLD, ROUNDING_MODES
+from .gibbs import ChainConfig
+from .network import (LOSS_KINDS, RATIO_INTERPRETATIONS, NetworkSpec,
+                      TrainingConfig)
 
 
 @dataclass
@@ -45,21 +49,21 @@ class ExperimentConfig:
     merge_same_day: bool = False
     covariates: tuple = ()
     train_fraction: float = 0.6
-    sweeps: int = 4000
-    burn_in: int = 1000
-    thin: int = 2
-    hidden_layers: int = 2
-    hidden_width: int = 20
-    dropout_p: float = 0.2
-    epochs: int = 500
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    patience: int = 10
-    validation_fraction: float = 0.1
+    sweeps: int = ChainConfig.sweeps
+    burn_in: int = ChainConfig.burn_in
+    thin: int = ChainConfig.thin
+    hidden_layers: int = NetworkSpec.hidden_layers
+    hidden_width: int = NetworkSpec.hidden_width
+    dropout_p: float = NetworkSpec.dropout_p
+    epochs: int = TrainingConfig.epochs
+    batch_size: int = TrainingConfig.batch_size
+    learning_rate: float = TrainingConfig.learning_rate
+    patience: int = TrainingConfig.early_stop_patience
+    validation_fraction: float = TrainingConfig.validation_fraction
     losses: tuple = LOSS_KINDS
-    ratio_interpretation: str = "weighted_nll"
-    threshold: float = 0.5
-    rounding: str = "half_away"
+    ratio_interpretation: str = RATIO_INTERPRETATIONS[0]
+    threshold: float = DEFAULT_THRESHOLD
+    rounding: str = ROUNDING_MODES[0]
     cap: int = 7
     horizon_weeks: float = None
     out: str = ""
@@ -104,16 +108,7 @@ def _coerce(key, text, target):
     return target(text)
 
 
-_FIELD_TYPES = {
-    "dataset": str, "format": str, "merge_same_day": bool,
-    "covariates": tuple, "train_fraction": float, "sweeps": int,
-    "burn_in": int, "thin": int, "hidden_layers": int, "hidden_width": int,
-    "dropout_p": float, "epochs": int, "batch_size": int,
-    "learning_rate": float, "patience": int, "validation_fraction": float,
-    "losses": tuple, "ratio_interpretation": str, "threshold": float,
-    "rounding": str, "cap": int, "horizon_weeks": float, "out": str,
-    "seed": int,
-}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def parse_config(path):

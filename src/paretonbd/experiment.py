@@ -11,6 +11,10 @@ the metric tables.
 All artifacts land in the configured output directory; MANIFEST.json
 records which stages completed and the digest of every deterministic
 artifact, so a failed run leaves an honest partial record behind.
+
+Each stage step is one function here (load_log, fit_labels, fit_model,
+write_forecast, evaluate_forecasts, write_metric_tables); run_experiment
+composes them and the CLI subcommands call the same functions.
 """
 
 import hashlib
@@ -18,6 +22,7 @@ import json
 import logging
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +35,6 @@ BASELINE_MODEL = "pareto_nbd"
 
 TIMING_REFERENCE_SECONDS = 21.0
 TIMING_BUDGET_SECONDS = 60.0
-
-# Deliberately nondeterministic artifacts, excluded from manifest digests.
-_UNDIGESTED = ("timing.json", "MANIFEST.json")
 
 
 def stage_seed(global_seed, stage):
@@ -63,7 +65,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _load_log(cfg):
+def load_log(cfg):
+    """Ingest cfg.dataset in cfg.format, merging same-day purchases when
+    cfg.merge_same_day is set."""
     if cfg.format == "cdnow":
         log = data.ingest_cdnow(cfg.dataset)
     else:
@@ -73,8 +77,53 @@ def _load_log(cfg):
     return log
 
 
-def _summaries(log, split, cohort_ids, covariates):
-    return data.summarize_rfm(log, split, cohort_ids, covariate_names=covariates)
+def fit_labels(table, cfg, seed, path, trace_path=None):
+    """Gibbs-sample posterior mean (lam, mu) per customer with cfg's chain
+    settings, write them to the labels CSV at path (and the hyperparameter
+    trace to trace_path when given); returns the PosteriorSummary."""
+    chain_cfg = gibbs.ChainConfig(
+        sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin, seed=seed,
+        keep_hyper_trace=trace_path is not None)
+    post = gibbs.run_chain(table, chain_cfg)
+    gibbs.write_labels_csv(path, post.customer_ids,
+                           post.mean_lambda, post.mean_mu)
+    if trace_path is not None:
+        gibbs.write_hyper_trace_csv(trace_path, post.hyper_trace)
+    return post
+
+
+def fit_model(table, lam, mu, cfg, kind, seed, path, history_path=None):
+    """Train the surrogate for one loss kind with cfg's network and training
+    settings, save it to the model JSON at path (and the per-epoch history
+    to history_path when given); returns (weights, scaler, history)."""
+    spec = network.NetworkSpec(
+        input_dim=table.features().shape[1],
+        hidden_layers=cfg.hidden_layers, hidden_width=cfg.hidden_width,
+        dropout_p=cfg.dropout_p)
+    train_cfg = network.TrainingConfig(
+        epochs=cfg.epochs, batch_size=cfg.batch_size,
+        learning_rate=cfg.learning_rate, seed=seed,
+        early_stop_patience=cfg.patience,
+        validation_fraction=cfg.validation_fraction)
+    w, scaler, history = network.train(
+        table, lam, mu, train_cfg, kind, spec=spec,
+        ratio_interpretation=cfg.ratio_interpretation)
+    network.save_model(path, spec, w, scaler,
+                       meta={"loss": kind,
+                             "ratio_interpretation": cfg.ratio_interpretation,
+                             "epochs_run": len(history)})
+    if history_path is not None:
+        network.write_history_csv(history_path, history)
+    return w, scaler, history
+
+
+def write_forecast(table, lam, mu, horizon, cfg, path):
+    """Forecast the holdout horizon with cfg's threshold and rounding and
+    write the forecast CSV at path; returns the ForecastTable."""
+    fc = forecast.make_forecast(table, lam, mu, horizon,
+                                threshold=cfg.threshold, rounding=cfg.rounding)
+    forecast.write_forecast_csv(path, fc)
+    return fc
 
 
 def evaluate_forecasts(holdout, forecasts, baseline, cap):
@@ -148,13 +197,15 @@ def run_experiment(cfg):
     timing = {"stages": {}, "per_loss": {}}
     reports = []
 
-    def emit(name):
-        path = os.path.join(cfg.out, name)
-        if name not in _UNDIGESTED:
-            manifest["artifacts"][name] = _sha256(path)
-        return path
+    def path(name):
+        return os.path.join(cfg.out, name)
 
-    def finish(status, failed_stage=None, error=None):
+    def emit(*names):
+        for name in names:
+            manifest["artifacts"][name] = _sha256(path(name))
+
+    def finish(failed_stage=None, error=None):
+        status = 0 if failed_stage is None else 1
         timing_doc = dict(timing)
         timing_doc["reference_seconds"] = TIMING_REFERENCE_SECONDS
         timing_doc["budget_seconds"] = TIMING_BUDGET_SECONDS
@@ -167,127 +218,88 @@ def run_experiment(cfg):
                     "train+predict took %.1f s, over the %.0f s budget "
                     "(reference %.0f s)", worst, TIMING_BUDGET_SECONDS,
                     TIMING_REFERENCE_SECONDS)
-        with open(os.path.join(cfg.out, "timing.json"), "w") as fh:
+        with open(path("timing.json"), "w") as fh:
             json.dump(timing_doc, fh, sort_keys=True, indent=1)
         manifest["status"] = "ok" if status == 0 else "failed"
         if failed_stage is not None:
             manifest["failed_stage"] = failed_stage
             manifest["error"] = str(error)
-        with open(os.path.join(cfg.out, "MANIFEST.json"), "w") as fh:
+        with open(path("MANIFEST.json"), "w") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=1)
         return ExperimentResult(status=status, outdir=cfg.out,
                                 manifest=manifest, reports=reports)
 
-    stage = "ingest"
-    try:
+    @contextmanager
+    def stage(name):
         t0 = time.perf_counter()
-        log = _load_log(cfg)
+        try:
+            yield
+        except Exception as exc:
+            finish(failed_stage=name, error=exc)
+            raise StageError(name, exc) from exc
+        timing["stages"][name] = time.perf_counter() - t0
+        manifest["stages_completed"].append(name)
+
+    with stage("ingest"):
+        log = load_log(cfg)
         split = data.make_cohort_split(
             log, cfg.train_fraction, seed=stage_seed(cfg.seed, "split"))
-        train_table = _summaries(log, split, split.train_ids, cfg.covariates)
-        test_table = _summaries(log, split, split.test_ids, cfg.covariates)
-        train_table.to_csv(os.path.join(cfg.out, "train_summary.csv"))
-        emit("train_summary.csv")
-        test_table.to_csv(os.path.join(cfg.out, "test_summary.csv"))
-        emit("test_summary.csv")
+        train_table = data.summarize_rfm(
+            log, split, split.train_ids, covariate_names=cfg.covariates)
+        test_table = data.summarize_rfm(
+            log, split, split.test_ids, covariate_names=cfg.covariates)
+        train_table.to_csv(path("train_summary.csv"))
+        test_table.to_csv(path("test_summary.csv"))
+        emit("train_summary.csv", "test_summary.csv")
         horizon = cfg.horizon_weeks
         if horizon is None:
             horizon = split.holdout_length_weeks
         manifest["horizon_weeks"] = horizon
         manifest["split_date"] = split.split_date.isoformat()
-        timing["stages"][stage] = time.perf_counter() - t0
-        manifest["stages_completed"].append(stage)
 
-        stage = "mcmc"
-        t0 = time.perf_counter()
-        chain_cfg = gibbs.ChainConfig(
-            sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
-            seed=stage_seed(cfg.seed, "mcmc-train"))
-        train_post = gibbs.run_chain(train_table, chain_cfg)
-        gibbs.write_labels_csv(os.path.join(cfg.out, "labels_train.csv"),
-                               train_post.customer_ids,
-                               train_post.mean_lambda, train_post.mean_mu)
+    with stage("mcmc"):
+        # in-sample chain first: perfbench labels the chains by call order
+        train_post = fit_labels(train_table, cfg,
+                                stage_seed(cfg.seed, "mcmc-train"),
+                                path("labels_train.csv"))
         emit("labels_train.csv")
-        test_cfg = gibbs.ChainConfig(
-            sweeps=cfg.sweeps, burn_in=cfg.burn_in, thin=cfg.thin,
-            seed=stage_seed(cfg.seed, "mcmc-test"))
-        test_post = gibbs.run_chain(test_table, test_cfg)
-        gibbs.write_labels_csv(os.path.join(cfg.out, "labels_test.csv"),
-                               test_post.customer_ids,
-                               test_post.mean_lambda, test_post.mean_mu)
+        test_post = fit_labels(test_table, cfg,
+                               stage_seed(cfg.seed, "mcmc-test"),
+                               path("labels_test.csv"))
         emit("labels_test.csv")
-        timing["stages"][stage] = time.perf_counter() - t0
-        manifest["stages_completed"].append(stage)
 
-        stage = "train"
-        spec = network.NetworkSpec(
-            input_dim=train_table.features().shape[1],
-            hidden_layers=cfg.hidden_layers, hidden_width=cfg.hidden_width,
-            dropout_p=cfg.dropout_p)
-        train_cfg = network.TrainingConfig(
-            epochs=cfg.epochs, batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate,
-            early_stop_patience=cfg.patience,
-            validation_fraction=cfg.validation_fraction)
-        models = {}
-        t_stage = time.perf_counter()
+    models = {}
+    with stage("train"):
         for kind in cfg.losses:
             t0 = time.perf_counter()
-            train_cfg.seed = stage_seed(cfg.seed, f"train-{kind}")
-            w, scaler, history = network.train(
-                train_table, train_post.mean_lambda, train_post.mean_mu,
-                train_cfg, kind, spec=spec,
-                ratio_interpretation=cfg.ratio_interpretation)
-            network.save_model(
-                os.path.join(cfg.out, f"model_{kind}.json"), spec, w, scaler,
-                meta={"loss": kind,
-                      "ratio_interpretation": cfg.ratio_interpretation,
-                      "epochs_run": len(history)})
-            emit(f"model_{kind}.json")
-            network.write_history_csv(
-                os.path.join(cfg.out, f"history_{kind}.csv"), history)
-            emit(f"history_{kind}.csv")
+            w, scaler, _ = fit_model(
+                train_table, train_post.mean_lambda, train_post.mean_mu, cfg,
+                kind, stage_seed(cfg.seed, f"train-{kind}"),
+                path(f"model_{kind}.json"),
+                history_path=path(f"history_{kind}.csv"))
+            emit(f"model_{kind}.json", f"history_{kind}.csv")
             models[kind] = (w, scaler)
             timing["per_loss"][kind] = time.perf_counter() - t0
-        timing["stages"][stage] = time.perf_counter() - t_stage
-        manifest["stages_completed"].append(stage)
 
-        stage = "predict"
-        t_stage = time.perf_counter()
-        forecasts = {}
-        base_fc = forecast.make_forecast(
+    with stage("predict"):
+        name = f"forecast_{BASELINE_MODEL}.csv"
+        forecasts = {BASELINE_MODEL: write_forecast(
             test_table, test_post.mean_lambda, test_post.mean_mu, horizon,
-            threshold=cfg.threshold, rounding=cfg.rounding)
-        forecast.write_forecast_csv(
-            os.path.join(cfg.out, f"forecast_{BASELINE_MODEL}.csv"), base_fc)
-        emit(f"forecast_{BASELINE_MODEL}.csv")
-        forecasts[BASELINE_MODEL] = base_fc
-        for kind in cfg.losses:
+            cfg, path(name))}
+        emit(name)
+        for kind, (w, scaler) in models.items():
             t0 = time.perf_counter()
-            w, scaler = models[kind]
             lam, mu = network.predict_params(test_table, w, scaler)
-            fc = forecast.make_forecast(
-                test_table, lam, mu, horizon,
-                threshold=cfg.threshold, rounding=cfg.rounding)
-            forecast.write_forecast_csv(
-                os.path.join(cfg.out, f"forecast_nn_{kind}.csv"), fc)
-            emit(f"forecast_nn_{kind}.csv")
-            forecasts[f"nn_{kind}"] = fc
+            name = f"forecast_nn_{kind}.csv"
+            forecasts[f"nn_{kind}"] = write_forecast(
+                test_table, lam, mu, horizon, cfg, path(name))
+            emit(name)
             timing["per_loss"][kind] += time.perf_counter() - t0
-        timing["stages"][stage] = time.perf_counter() - t_stage
-        manifest["stages_completed"].append(stage)
 
-        stage = "evaluate"
-        t0 = time.perf_counter()
+    with stage("evaluate"):
         holdout = test_table.holdout_count
         reports.extend(evaluate_forecasts(
             holdout, forecasts, BASELINE_MODEL, cfg.cap))
-        for name in write_metric_tables(cfg.out, reports, holdout, cfg.cap):
-            emit(name)
-        timing["stages"][stage] = time.perf_counter() - t0
-        manifest["stages_completed"].append(stage)
-    except Exception as exc:
-        finish(1, failed_stage=stage, error=exc)
-        raise StageError(stage, exc) from exc
+        emit(*write_metric_tables(cfg.out, reports, holdout, cfg.cap))
 
-    return finish(0)
+    return finish()

@@ -129,46 +129,23 @@ def draw_mu(alive, T, tau, hyper, rng):
     return np.maximum(draw, _DRAW_FLOOR)
 
 
-def _slice_positive(logpdf, x0, rng, width=1.0, max_steps=200):
-    """One slice-sampling update on (0, inf) with step-out and shrinkage."""
+def _slice(logpdf, x0, rng, lower=-np.inf, width=1.0, max_steps=200):
+    """One slice-sampling update on (lower, inf) with step-out and shrinkage."""
     log_y = logpdf(x0) - rng.exponential(1.0)
     lo = x0 - width * rng.random()
     hi = lo + width
     steps = int(rng.integers(0, max_steps))
     lo_steps, hi_steps = steps, max_steps - 1 - steps
-    while lo > 0 and lo_steps > 0 and logpdf(lo) > log_y:
+    while lo > lower and lo_steps > 0 and logpdf(lo) > log_y:
         lo -= width
         lo_steps -= 1
-    lo = max(lo, 0.0)
+    lo = max(lo, lower)
     while hi_steps > 0 and logpdf(hi) > log_y:
         hi += width
         hi_steps -= 1
     while True:
         x1 = rng.uniform(lo, hi)
-        if x1 > 0 and logpdf(x1) > log_y:
-            return x1
-        if x1 < x0:
-            lo = x1
-        else:
-            hi = x1
-
-
-def _slice_real(logpdf, x0, rng, width=1.0, max_steps=200):
-    """One slice-sampling update on the whole real line."""
-    log_y = logpdf(x0) - rng.exponential(1.0)
-    lo = x0 - width * rng.random()
-    hi = lo + width
-    steps = int(rng.integers(0, max_steps))
-    lo_steps, hi_steps = steps, max_steps - 1 - steps
-    while lo_steps > 0 and logpdf(lo) > log_y:
-        lo -= width
-        lo_steps -= 1
-    while hi_steps > 0 and logpdf(hi) > log_y:
-        hi += width
-        hi_steps -= 1
-    while True:
-        x1 = rng.uniform(lo, hi)
-        if logpdf(x1) > log_y:
+        if x1 > lower and logpdf(x1) > log_y:
             return x1
         if x1 < x0:
             lo = x1
@@ -199,7 +176,7 @@ def _population_scale_move(rates, rate_hyper, weighted_exposure, count_term,
                 - weighted_exposure * np.exp(-z)
                 - b0 * rate_hyper * np.exp(z))
 
-    return float(np.exp(_slice_real(logpdf, 0.0, rng, width=0.5)))
+    return float(np.exp(_slice(logpdf, 0.0, rng, width=0.5)))
 
 
 def _shape_marginal(n, sum_log, sum_val, a0, b0):
@@ -246,14 +223,14 @@ def update_hyperparams(lams, mus, hyper, cfg, rng):
     a0, b0 = cfg.hyper_prior
     n = lams.size
 
-    r = _slice_positive(
+    r = _slice(
         _shape_marginal(n, np.sum(np.log(lams)), np.sum(lams), a0, b0),
-        hyper.r, rng)
+        hyper.r, rng, lower=0.0)
     alpha = rng.gamma(a0 + n * r, 1.0 / (b0 + np.sum(lams)))
 
-    s = _slice_positive(
+    s = _slice(
         _shape_marginal(n, np.sum(np.log(mus)), np.sum(mus), a0, b0),
-        hyper.s, rng)
+        hyper.s, rng, lower=0.0)
     beta = rng.gamma(a0 + n * s, 1.0 / (b0 + np.sum(mus)))
 
     return HyperParams(r=r, alpha=alpha, s=s, beta=beta)

@@ -44,6 +44,11 @@ PRE_CLAMP = 30.0
 # Exponent cap inside the weighted_nll ratio loss.
 RATIO_EXP_CLAMP = 30.0
 
+# Adam moment decay rates and the guard added to the update's denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 MODEL_FORMAT_VERSION = 1
 
 
@@ -69,9 +74,6 @@ class TrainingConfig:
     epochs: int = 500
     batch_size: int = 256
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     early_stop_patience: int = 10
     validation_fraction: float = 0.1
@@ -373,11 +375,11 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
             grads = grad_w + grad_b
             params = w.arrays()
             for i, (p, g) in enumerate(zip(params, grads)):
-                adam_m[i] = cfg.adam_beta1 * adam_m[i] + (1 - cfg.adam_beta1) * g
-                adam_v[i] = cfg.adam_beta2 * adam_v[i] + (1 - cfg.adam_beta2) * g * g
-                m_hat = adam_m[i] / (1 - cfg.adam_beta1 ** step)
-                v_hat = adam_v[i] / (1 - cfg.adam_beta2 ** step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+                adam_m[i] = ADAM_BETA1 * adam_m[i] + (1 - ADAM_BETA1) * g
+                adam_v[i] = ADAM_BETA2 * adam_v[i] + (1 - ADAM_BETA2) * g * g
+                m_hat = adam_m[i] / (1 - ADAM_BETA1 ** step)
+                v_hat = adam_v[i] / (1 - ADAM_BETA2 ** step)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         train_loss = epoch_loss / perm.size
 
         val_loss = np.nan

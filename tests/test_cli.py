@@ -5,6 +5,7 @@ cohort; the per-stage subcommands are then checked to reproduce its
 artifacts byte for byte from the same derived seeds.
 """
 
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -265,3 +266,46 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     path.write_text("merge_same_day = yep\n")
     with pytest.raises(ValueError, match="true or false"):
         config.parse_config(str(path))
+
+
+def test_run_flags_override_config_file(pipeline, tmp_path):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(
+        f"dataset = {pipeline['dataset']}\nsweeps = 30\nburn_in = 10\n"
+        "hidden_width = 8\nepochs = 3\nbatch_size = 64\nlosses = mse\n"
+        f"threshold = 0.6\ncap = 4\nseed = 1\nout = {tmp_path / 'unused'}\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg_path), "--seed", "9",
+                     "--out", str(out), "--loss", "mae", "--loss", "nll",
+                     "--threshold", "0.25", "--rounding", "floor",
+                     "--cap", "5"]) == 0
+    with open(out / "MANIFEST.json") as fh:
+        got = json.load(fh)["config"]
+    assert got["seed"] == 9
+    assert got["out"] == str(out)
+    assert got["losses"] == ["mae", "nll"]
+    assert got["threshold"] == 0.25
+    assert got["rounding"] == "floor"
+    assert got["cap"] == 5
+    # keys without a flag keep their config-file values
+    assert (got["sweeps"], got["burn_in"], got["hidden_width"],
+            got["epochs"], got["batch_size"]) == (30, 10, 8, 3, 64)
+    assert got["dataset"] == str(pipeline["dataset"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-mcmc", "--summaries", "s.csv", "--out", "o"],
+    ["train-nn", "--summaries", "s.csv", "--labels", "l.csv",
+     "--loss", "mse", "--out", "o"],
+    ["predict", "--summaries", "s.csv", "--labels", "l.csv",
+     "--horizon", "26", "--out", "o"],
+    ["evaluate", "--summaries", "s.csv", "--forecast", "a=b.csv",
+     "--out", "o"],
+], ids=lambda argv: argv[0])
+def test_stage_flags_default_to_experiment_config(argv):
+    args = cli.build_parser().parse_args(argv)
+    names = {f.name for f in dataclasses.fields(config.ExperimentConfig)}
+    unset = {k: v for k, v in vars(args).items() if k in names and k != "out"}
+    assert unset and all(v is None for v in unset.values()), unset
+    built = cli._config(args)
+    assert dataclasses.replace(built, out="") == config.ExperimentConfig()

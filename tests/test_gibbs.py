@@ -174,7 +174,7 @@ def test_shape_slice_sampler_matches_grid_density():
     draws = np.empty(40_000)
     x = 1.0
     for i in range(draws.size):
-        x = gibbs._slice_positive(logpdf, x, rng)
+        x = gibbs._slice(logpdf, x, rng, lower=0.0)
         draws[i] = x
     draws = draws[500:]
 
