@@ -70,9 +70,9 @@ def cmd_ingest(args):
 
 def cmd_simulate(args):
     hyper = gibbs.HyperParams(r=args.r, alpha=args.alpha, s=args.s, beta=args.beta)
-    cohort = simulate.make_cohort(
-        args.n, args.seed, hyper=hyper, total_weeks=args.weeks,
-        acquisition_weeks=args.acquisition_weeks)
+    windows = {k: getattr(args, k) for k in ("total_weeks", "acquisition_weeks")
+               if getattr(args, k) is not None}
+    cohort = simulate.make_cohort(args.n, args.seed, hyper=hyper, **windows)
     os.makedirs(args.out, exist_ok=True)
     tx_path = os.path.join(args.out, "transactions.csv")
     data.write_transactions_csv(tx_path, cohort.log)
@@ -180,8 +180,10 @@ def build_parser():
     p = sub.add_parser("simulate", help="generate a synthetic cohort")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weeks", type=int, default=104)
-    p.add_argument("--acquisition-weeks", type=int, default=26)
+    p.add_argument("--weeks", dest="total_weeks", type=int,
+                   help="observation window (default: make_cohort's)")
+    p.add_argument("--acquisition-weeks", type=int,
+                   help="acquisition spread (default: make_cohort's)")
     p.add_argument("--r", type=float, default=simulate.DEFAULT_HYPER.r)
     p.add_argument("--alpha", type=float, default=simulate.DEFAULT_HYPER.alpha)
     p.add_argument("--s", type=float, default=simulate.DEFAULT_HYPER.s)

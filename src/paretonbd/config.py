@@ -38,6 +38,7 @@ from dataclasses import dataclass, fields
 
 from .forecast import DEFAULT_THRESHOLD, ROUNDING_MODES
 from .gibbs import ChainConfig
+from .metrics import DEFAULT_HISTOGRAM_CAP
 from .network import (LOSS_KINDS, RATIO_INTERPRETATIONS, NetworkSpec,
                       TrainingConfig)
 
@@ -64,7 +65,7 @@ class ExperimentConfig:
     ratio_interpretation: str = RATIO_INTERPRETATIONS[0]
     threshold: float = DEFAULT_THRESHOLD
     rounding: str = ROUNDING_MODES[0]
-    cap: int = 7
+    cap: int = DEFAULT_HISTOGRAM_CAP
     horizon_weeks: float = None
     out: str = ""
     seed: int = 0

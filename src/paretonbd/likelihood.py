@@ -50,6 +50,28 @@ def _check_summary(x, t_x, T):
         raise ValueError("recency must satisfy 0 <= t_x <= T")
 
 
+def _log_likelihood(x, t_x, T, lam, mu):
+    """Unchecked kernel of log_likelihood: (log L, theta = lam + mu), for
+    validated float arrays; theta feeds _grad_log_likelihood."""
+    theta = lam + mu
+    log_lam = np.log(lam)
+    out = (
+        x * log_lam
+        - np.log(theta)
+        + np.logaddexp(np.log(mu) - theta * t_x, log_lam - theta * T)
+    )
+    return out, theta
+
+
+def _grad_log_likelihood(x, t_x, T, lam, mu, theta):
+    """Unchecked kernel of grad_log_likelihood, for validated float arrays."""
+    w = np.exp(-theta * (T - t_x))
+    denom = mu + lam * w
+    dlam = x / lam - 1.0 / theta + (-t_x * mu + (1.0 - lam * T) * w) / denom
+    dmu = -1.0 / theta + ((1.0 - mu * t_x) - lam * T * w) / denom
+    return dlam, dmu
+
+
 def log_likelihood(x, t_x, T, lam, mu):
     """Natural log of the Pareto/NBD likelihood of (x, t_x, T).
 
@@ -59,12 +81,7 @@ def log_likelihood(x, t_x, T, lam, mu):
     (x, t_x, T, lam, mu), scalar = _as_arrays(x, t_x, T, lam, mu)
     _check_rates(lam, mu)
     _check_summary(x, t_x, T)
-    theta = lam + mu
-    out = (
-        x * np.log(lam)
-        - np.log(theta)
-        + np.logaddexp(np.log(mu) - theta * t_x, np.log(lam) - theta * T)
-    )
+    out, _ = _log_likelihood(x, t_x, T, lam, mu)
     return float(out) if scalar else out
 
 
@@ -78,11 +95,7 @@ def grad_log_likelihood(x, t_x, T, lam, mu):
     (x, t_x, T, lam, mu), scalar = _as_arrays(x, t_x, T, lam, mu)
     _check_rates(lam, mu)
     _check_summary(x, t_x, T)
-    theta = lam + mu
-    w = np.exp(-theta * (T - t_x))
-    denom = mu + lam * w
-    dlam = x / lam - 1.0 / theta + (-t_x * mu + (1.0 - lam * T) * w) / denom
-    dmu = -1.0 / theta + ((1.0 - mu * t_x) - lam * T * w) / denom
+    dlam, dmu = _grad_log_likelihood(x, t_x, T, lam, mu, lam + mu)
     if scalar:
         return float(dlam), float(dmu)
     return dlam, dmu

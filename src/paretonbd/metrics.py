@@ -15,6 +15,9 @@ import numpy as np
 
 from .forecast import count_histogram
 
+# First count of the histogram's overflow bin ("7+").
+DEFAULT_HISTOGRAM_CAP = 7
+
 CORRELATION_METRICS = ("multi_accuracy", "mae", "total_purchases", "consistency")
 
 
@@ -106,7 +109,7 @@ class MetricsReport:
 
 
 def evaluate_forecast(fc, holdout_counts, model, baseline_counts=None,
-                      histogram_cap=7):
+                      histogram_cap=DEFAULT_HISTOGRAM_CAP):
     """Score a ForecastTable against observed holdout transaction counts.
 
     Actual inactive means zero holdout transactions.  total_purchases sums

@@ -20,9 +20,14 @@ Training objectives, per datapoint with label (lam, mu) and prediction
                  abs_log_ratio  |logL_hat - logL_label|
     ratio_mse  ratio + mse       ratio_mae  ratio + mae
 
-Gradients are exact analytic backpropagation for every variant; optimization
-is Adam over shuffled mini-batches with optional early stopping on a
-held-back validation slice.
+One kernel, ``_loss_and_output_grad``, gives every kind's pointwise loss and
+its derivatives w.r.t. (lam_hat, mu_hat), with the arithmetic of the public
+likelihood functions but each shared term computed once per batch; exact
+backpropagation goes on from there.  Every weight and bias is a view into one
+float64 buffer, ``NetworkWeights.flat``, which Adam updates whole, over
+shuffled mini-batches with optional early stopping on a validation slice.
+``train`` and ``loss`` validate their inputs once, at entry; ``loss_gradient``
+checks only the loss kind and trusts its arrays.
 """
 
 import json
@@ -31,7 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .likelihood import RATE_FLOOR, grad_log_likelihood, log_likelihood
+from .likelihood import (RATE_FLOOR, _check_rates, _check_summary,
+                         _grad_log_likelihood, _log_likelihood)
+# Unused here; kept in this namespace, where perfbench counts calls to them.
+from .likelihood import grad_log_likelihood, log_likelihood  # noqa: F401
 
 LOSS_KINDS = ("mse", "mae", "nll", "nll_mse", "nll_mae",
               "ratio", "ratio_mse", "ratio_mae")
@@ -86,20 +94,25 @@ class TrainingConfig:
 
 
 class NetworkWeights:
-    """Per-layer weight matrices and bias vectors."""
+    """Per-layer weight matrices and bias vectors, all views into one
+    float64 buffer ``flat`` laid out in ``arrays()`` order."""
 
     def __init__(self, weights, biases):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for w, b in zip(self.weights, self.biases):
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        for w, b in zip(weights, biases):
             if w.shape[1] != b.shape[0]:
                 raise ValueError("bias shape does not match weight matrix")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite network weights")
+        arrays = weights + biases
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        if not np.all(np.isfinite(self.flat)):
+            raise ValueError("non-finite network weights")
+        ends = np.cumsum([a.size for a in arrays])[:-1]
+        views = [v.reshape(a.shape) for v, a in zip(np.split(self.flat, ends), arrays)]
+        self.weights, self.biases = views[:len(weights)], views[len(weights):]
 
     def copy(self):
-        return NetworkWeights([w.copy() for w in self.weights],
-                              [b.copy() for b in self.biases])
+        return NetworkWeights(self.weights, self.biases)
 
     def arrays(self):
         return self.weights + self.biases
@@ -139,11 +152,9 @@ def init_weights(spec, seed):
 
 
 def _dropout_masks(spec, n, rng):
-    keep = 1.0 - spec.dropout_p
-    return [
-        (rng.random((n, spec.hidden_width)) >= spec.dropout_p) / keep
-        for _ in range(spec.hidden_layers)
-    ]
+    """Inverted-dropout masks, shape (hidden_layers, n, hidden_width)."""
+    draw = rng.random((spec.hidden_layers, n, spec.hidden_width))
+    return (draw >= spec.dropout_p) / (1.0 - spec.dropout_p)
 
 
 def _forward_cache(features, w, masks=None):
@@ -174,108 +185,82 @@ def _forward_cache(features, w, masks=None):
     return inputs, sigmoids, pre, out
 
 
-def forward(features, w, train=False, spec=None, rng=None):
-    """Map features to (lam_hat, mu_hat) > 0.
-
-    Training mode applies inverted dropout and needs the spec (for the
-    dropout probability) and an rng; inference is deterministic.
-    """
-    masks = None
-    if train:
-        if spec is None or rng is None:
-            raise ValueError("train-mode forward needs spec and rng")
-        n = np.atleast_2d(np.asarray(features)).shape[0]
-        masks = _dropout_masks(spec, n, rng)
-    _, _, _, out = _forward_cache(features, w, masks)
+def forward(features, w):
+    """Map features to (lam_hat, mu_hat) > 0, without dropout."""
+    _, _, _, out = _forward_cache(features, w)
     lam, mu = out[:, 0], out[:, 1]
     if np.ndim(features) == 1:
         return float(lam[0]), float(mu[0])
     return lam, mu
 
 
-def _pointwise_loss(x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation):
+def _check_kind(kind, ratio_interpretation):
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     if ratio_interpretation not in RATIO_INTERPRETATIONS:
         raise ValueError(f"unknown ratio interpretation {ratio_interpretation!r}")
-    if np.any(np.asarray(lam) <= 0) or np.any(np.asarray(mu) <= 0):
+
+
+def _check_labels(lam, mu):
+    if not all(np.all(np.isfinite(a) & (a > 0)) for a in (lam, mu)):
         raise ValueError("labels must be positive rates")
 
-    mse = (mu - mu_hat) ** 2 + (lam - lam_hat) ** 2
-    mae = np.abs(mu - mu_hat) + np.abs(lam - lam_hat)
-    if kind == "mse":
-        return mse
-    if kind == "mae":
-        return mae
 
-    ll_hat = log_likelihood(x, t_x, T, lam_hat, mu_hat)
-    if kind.startswith("nll"):
-        base = -ll_hat
+def _loss_and_output_grad(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
+                          ratio_interpretation):
+    """(pointwise loss, d/d lam_hat, d/d mu_hat) for validated float arrays."""
+    head = kind.split("_")[0]
+    e_lam, e_mu = lam_hat - lam, mu_hat - mu
+    if kind.endswith("mse"):
+        penalty, d_lam, d_mu = e_mu ** 2 + e_lam ** 2, 2.0 * e_lam, 2.0 * e_mu
+    elif kind.endswith("mae"):
+        penalty = np.abs(e_mu) + np.abs(e_lam)
+        d_lam, d_mu = np.sign(e_lam), np.sign(e_mu)
+    if head in ("mse", "mae"):
+        return penalty, d_lam, d_mu
+
+    ll_hat, theta = _log_likelihood(x, t_x, T, lam_hat, mu_hat)
+    dll_lam, dll_mu = _grad_log_likelihood(x, t_x, T, lam_hat, mu_hat, theta)
+    if head == "nll":
+        base, scale = -ll_hat, -1.0
     else:
-        diff = ll_hat - log_likelihood(x, t_x, T, lam, mu)
+        diff = ll_hat - _log_likelihood(x, t_x, T, lam, mu)[0]
         if ratio_interpretation == "weighted_nll":
             base = -np.exp(np.minimum(diff, RATIO_EXP_CLAMP))
+            scale = np.where(diff < RATIO_EXP_CLAMP, base, 0.0)
         else:
-            base = np.abs(diff)
-    if kind.endswith("_mse"):
-        return base + mse
-    if kind.endswith("_mae"):
-        return base + mae
-    return base
+            base, scale = np.abs(diff), np.sign(diff)
+    g_lam, g_mu = scale * dll_lam, scale * dll_mu
+    if head == kind:
+        return base, g_lam, g_mu
+    return base + penalty, g_lam + d_lam, g_mu + d_mu
 
 
 def loss(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
          ratio_interpretation="weighted_nll"):
     """Mean per-datapoint loss of predictions (lam_hat, mu_hat) against labels."""
-    x = np.asarray(x, dtype=float)
+    x, t_x, T, lam, mu, lam_hat, mu_hat = (
+        np.asarray(a, dtype=float) for a in (x, t_x, T, lam, mu, lam_hat, mu_hat))
     if x.size == 0:
         raise ValueError("empty batch")
-    pointwise = _pointwise_loss(
-        np.asarray(x, dtype=float), np.asarray(t_x, dtype=float),
-        np.asarray(T, dtype=float), np.asarray(lam, dtype=float),
-        np.asarray(mu, dtype=float), np.asarray(lam_hat, dtype=float),
-        np.asarray(mu_hat, dtype=float), kind, ratio_interpretation)
-    return float(np.mean(pointwise))
-
-
-def _output_grad(x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation):
-    """d(pointwise loss)/d(lam_hat, mu_hat), matching _pointwise_loss exactly."""
-    d_mse = (2.0 * (lam_hat - lam), 2.0 * (mu_hat - mu))
-    d_mae = (np.sign(lam_hat - lam), np.sign(mu_hat - mu))
-    if kind == "mse":
-        return d_mse
-    if kind == "mae":
-        return d_mae
-
-    dll_lam, dll_mu = grad_log_likelihood(x, t_x, T, lam_hat, mu_hat)
-    if kind.startswith("nll"):
-        g_lam, g_mu = -dll_lam, -dll_mu
-    elif ratio_interpretation == "weighted_nll":
-        diff = (log_likelihood(x, t_x, T, lam_hat, mu_hat)
-                - log_likelihood(x, t_x, T, lam, mu))
-        scale = np.where(diff < RATIO_EXP_CLAMP, -np.exp(np.minimum(diff, RATIO_EXP_CLAMP)), 0.0)
-        g_lam, g_mu = scale * dll_lam, scale * dll_mu
-    else:
-        diff = (log_likelihood(x, t_x, T, lam_hat, mu_hat)
-                - log_likelihood(x, t_x, T, lam, mu))
-        sgn = np.sign(diff)
-        g_lam, g_mu = sgn * dll_lam, sgn * dll_mu
-
-    if kind.endswith("_mse"):
-        return g_lam + d_mse[0], g_mu + d_mse[1]
-    if kind.endswith("_mae"):
-        return g_lam + d_mae[0], g_mu + d_mae[1]
-    return g_lam, g_mu
+    _check_kind(kind, ratio_interpretation)
+    _check_labels(lam, mu)
+    _check_rates(lam_hat, mu_hat)
+    _check_summary(x, t_x, T)
+    return float(np.mean(_loss_and_output_grad(
+        x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation)[0]))
 
 
 def loss_gradient(features, x, t_x, T, lam, mu, w, kind,
                   ratio_interpretation="weighted_nll", spec=None, rng=None):
     """Exact gradient of the mean loss w.r.t. every weight and bias.
 
-    When spec/rng are given, dropout masks are drawn and shared between the
-    internal forward pass and the backward pass.  Returns (grad_weights,
-    grad_biases, batch_loss).
+    x, t_x, T, lam and mu must be valid float arrays; only the loss kind is
+    checked here.  When spec/rng are given, dropout masks are drawn and
+    shared between the internal forward pass and the backward pass.
+    Returns (grad_weights, grad_biases, batch_loss).
     """
+    _check_kind(kind, ratio_interpretation)
     features = np.atleast_2d(np.asarray(features, dtype=float))
     n = features.shape[0]
     if n == 0:
@@ -288,17 +273,9 @@ def loss_gradient(features, x, t_x, T, lam, mu, w, kind,
 
     inputs, sigmoids, pre, out = _forward_cache(features, w, masks)
     lam_hat, mu_hat = out[:, 0], out[:, 1]
-    x = np.asarray(x, dtype=float)
-    t_x = np.asarray(t_x, dtype=float)
-    T = np.asarray(T, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-
-    batch_loss = float(np.mean(_pointwise_loss(
-        x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation)))
-    g_lam, g_mu = _output_grad(
+    pointwise, g_lam, g_mu = _loss_and_output_grad(
         x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation)
-
+    batch_loss = float(np.mean(pointwise))
     # through the clamped exp output transform (mean over the batch)
     d_pre = np.column_stack([g_lam * lam_hat, g_mu * mu_hat]) / n
     d_pre *= (np.abs(pre) < PRE_CLAMP)
@@ -325,13 +302,16 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
     Features (x, t_x, T, covariates) are standardized by a scaler fit on the
     training rows; labels stay in natural units.  Returns (weights, scaler,
     history) where history holds one (epoch, train_loss, val_loss) triple
-    per completed epoch.
+    per completed epoch.  The labels, the loss kind and the ratio
+    interpretation are validated here, once, before the first batch.
     """
+    _check_kind(kind, ratio_interpretation)
     lam_labels = np.asarray(lam_labels, dtype=float)
     mu_labels = np.asarray(mu_labels, dtype=float)
     n = len(table)
     if not (n == lam_labels.size == mu_labels.size):
         raise ValueError("summaries and labels must align")
+    _check_labels(lam_labels, mu_labels)
     if spec is None:
         spec = NetworkSpec(input_dim=table.features().shape[1])
     if n < cfg.batch_size:
@@ -340,7 +320,6 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
     raw = table.features()
     scaler = FeatureScaler.fit(raw)
     feats = scaler.transform(raw)
-    x, t_x, T = (np.asarray(table.x, dtype=float), table.t_x.copy(), table.T.copy())
 
     init_ss, stream_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     w = init_weights(spec, init_ss)
@@ -352,8 +331,11 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
     if train_idx.size < 1:
         raise ValueError("validation split leaves no training rows")
 
-    adam_m = [np.zeros_like(a) for a in w.arrays()]
-    adam_v = [np.zeros_like(a) for a in w.arrays()]
+    columns = (feats, table.x.astype(float), table.t_x, table.T, lam_labels,
+               mu_labels)
+    val_feats, *val_rows = (a[val_idx] for a in columns)
+    adam_m = np.zeros_like(w.flat)
+    adam_v = np.zeros_like(w.flat)
     step = 0
     history = []
     best_val = np.inf
@@ -362,32 +344,30 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
 
     for epoch in range(cfg.epochs):
         perm = train_idx[rng.permutation(train_idx.size)]
+        shuffled = [a[perm] for a in columns]
         epoch_loss = 0.0
         for lo in range(0, perm.size, cfg.batch_size):
-            sel = perm[lo:lo + cfg.batch_size]
+            batch = [a[lo:lo + cfg.batch_size] for a in shuffled]
             grad_w, grad_b, batch_loss = loss_gradient(
-                feats[sel], x[sel], t_x[sel], T[sel],
-                lam_labels[sel], mu_labels[sel], w, kind,
-                ratio_interpretation=ratio_interpretation,
-                spec=spec if spec.dropout_p > 0 else None, rng=rng)
-            epoch_loss += batch_loss * sel.size
+                *batch, w, kind, ratio_interpretation=ratio_interpretation,
+                spec=spec, rng=rng)
+            epoch_loss += batch_loss * len(batch[0])
             step += 1
-            grads = grad_w + grad_b
-            params = w.arrays()
-            for i, (p, g) in enumerate(zip(params, grads)):
-                adam_m[i] = ADAM_BETA1 * adam_m[i] + (1 - ADAM_BETA1) * g
-                adam_v[i] = ADAM_BETA2 * adam_v[i] + (1 - ADAM_BETA2) * g * g
-                m_hat = adam_m[i] / (1 - ADAM_BETA1 ** step)
-                v_hat = adam_v[i] / (1 - ADAM_BETA2 ** step)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            g = np.concatenate([a.ravel() for a in grad_w + grad_b])
+            adam_m *= ADAM_BETA1
+            adam_m += (1 - ADAM_BETA1) * g
+            adam_v *= ADAM_BETA2
+            adam_v += (1 - ADAM_BETA2) * g * g
+            m_hat = adam_m / (1 - ADAM_BETA1 ** step)
+            v_hat = adam_v / (1 - ADAM_BETA2 ** step)
+            w.flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         train_loss = epoch_loss / perm.size
 
         val_loss = np.nan
         if n_val > 0:
-            lam_v, mu_v = forward(feats[val_idx], w)
-            val_loss = loss(x[val_idx], t_x[val_idx], T[val_idx],
-                            lam_labels[val_idx], mu_labels[val_idx],
-                            lam_v, mu_v, kind, ratio_interpretation)
+            lam_v, mu_v = forward(val_feats, w)
+            val_loss = float(np.mean(_loss_and_output_grad(
+                *val_rows, lam_v, mu_v, kind, ratio_interpretation)[0]))
         history.append((epoch, train_loss, val_loss))
 
         if n_val > 0 and cfg.early_stop_patience > 0:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretonbd import cli, config, data, forecast
+from paretonbd import cli, config, data, forecast, simulate
 from paretonbd.experiment import stage_seed
 
 RUN_SEED = 3
@@ -73,6 +73,20 @@ def test_simulate_cli_deterministic(tmp_path):
                          "--out", str(out)]) == 0
     for name in ("transactions.csv", "truth.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags, windows", [
+    ([], {}),
+    (["--weeks", "60"], {"total_weeks": 60}),
+    (["--weeks", "60", "--acquisition-weeks", "8"],
+     {"total_weeks": 60, "acquisition_weeks": 8}),
+])
+def test_simulate_window_flags_default_to_make_cohort(tmp_path, flags, windows):
+    assert cli.main(["simulate", "--n", "25", "--seed", "7",
+                     "--out", str(tmp_path), *flags]) == 0
+    want = tmp_path / "want.csv"
+    data.write_transactions_csv(want, simulate.make_cohort(25, 7, **windows).log)
+    assert (tmp_path / "transactions.csv").read_bytes() == want.read_bytes()
 
 
 def test_ingest_cli_normalizes_cdnow(tmp_path, capsys):

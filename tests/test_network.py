@@ -14,8 +14,10 @@ from numpy.testing import assert_allclose
 
 from paretonbd import network
 from paretonbd.data import CalibrationTable
+from paretonbd.likelihood import grad_log_likelihood, log_likelihood
 from paretonbd.network import (
     LOSS_KINDS,
+    RATIO_INTERPRETATIONS,
     FeatureScaler,
     NetworkSpec,
     NetworkWeights,
@@ -118,13 +120,6 @@ def test_forward_output_clamped_before_exp():
     assert mu == math.exp(-30.0)
 
 
-def test_forward_train_mode_needs_rng():
-    spec = NetworkSpec(input_dim=3)
-    w = init_weights(spec, seed=1)
-    with pytest.raises(ValueError):
-        forward(np.zeros(3), w, train=True, spec=spec)
-
-
 def test_dropout_masks_inverted_scaling():
     spec = NetworkSpec(input_dim=3, dropout_p=0.2)
     masks = network._dropout_masks(spec, 5000, np.random.default_rng(6))
@@ -185,10 +180,12 @@ def test_loss_rejects_unknown_kind():
 # gradients
 
 
-def finite_difference_grads(feats, x, t_x, T, lam, mu, w, kind, step=1e-5):
+def finite_difference_grads(feats, x, t_x, T, lam, mu, w, kind, step=1e-5,
+                            ratio_interpretation="weighted_nll"):
     def eval_loss():
         lam_hat, mu_hat = forward(feats, w)
-        return loss(x, t_x, T, lam, mu, lam_hat, mu_hat, kind)
+        return loss(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
+                    ratio_interpretation)
 
     fd = []
     for arr in w.arrays():
@@ -216,6 +213,61 @@ def test_loss_gradient_matches_finite_differences(kind):
     fd = finite_difference_grads(feats, x, t_x, T, lam, mu, w, kind)
     for analytic, numeric in zip(grad_w + grad_b, fd):
         assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+
+@pytest.mark.parametrize("kind", ["ratio", "ratio_mse", "ratio_mae"])
+def test_abs_log_ratio_gradient_matches_finite_differences(kind):
+    spec = NetworkSpec(input_dim=3, hidden_layers=2, hidden_width=4, dropout_p=0.0)
+    w = init_weights(spec, seed=8)
+    feats, x, t_x, T, lam, mu = micro_batch(16, seed=9)
+    grad_w, grad_b, _ = loss_gradient(feats, x, t_x, T, lam, mu, w, kind,
+                                      ratio_interpretation="abs_log_ratio")
+    fd = finite_difference_grads(feats, x, t_x, T, lam, mu, w, kind,
+                                 ratio_interpretation="abs_log_ratio")
+    for analytic, numeric in zip(grad_w + grad_b, fd):
+        assert_allclose(analytic, numeric, rtol=1e-4, atol=1e-7)
+
+
+def rebuilt_loss_and_output_grad(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
+                                 ratio_interpretation):
+    """The loss family written out on the public likelihood functions:
+    (pointwise loss, d/d(lam_hat, mu_hat) stacked as a (2, n) array)."""
+    ll_hat = log_likelihood(x, t_x, T, lam_hat, mu_hat)
+    dll = np.array(grad_log_likelihood(x, t_x, T, lam_hat, mu_hat))
+    diff = ll_hat - log_likelihood(x, t_x, T, lam, mu)
+    err = np.array([lam_hat - lam, mu_hat - mu])
+    terms = {
+        "nll": (-ll_hat, -dll),
+        "mse": ((mu - mu_hat) ** 2 + (lam - lam_hat) ** 2, 2.0 * err),
+        "mae": (np.abs(mu - mu_hat) + np.abs(lam - lam_hat), np.sign(err)),
+    }
+    if ratio_interpretation == "weighted_nll":
+        weight = np.exp(np.minimum(diff, network.RATIO_EXP_CLAMP))
+        terms["ratio"] = (-weight, -weight * dll)
+    else:
+        terms["ratio"] = (np.abs(diff), np.sign(diff) * dll)
+    parts = [terms[part] for part in kind.split("_")]
+    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+
+
+@pytest.mark.parametrize("ratio_interpretation", RATIO_INTERPRETATIONS)
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_loss_kernel_matches_public_likelihood(kind, ratio_interpretation):
+    spec = NetworkSpec(input_dim=3, hidden_layers=2, hidden_width=4, dropout_p=0.0)
+    w = init_weights(spec, seed=23)
+    feats, x, t_x, T, lam, mu = micro_batch(16, seed=24)
+    grad_w, grad_b, value = loss_gradient(feats, x, t_x, T, lam, mu, w, kind,
+                                          ratio_interpretation)
+    lam_hat, mu_hat = forward(feats, w)
+    pointwise, d_out = rebuilt_loss_and_output_grad(
+        x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation)
+    assert value == np.mean(pointwise)
+
+    # chain rule through the exp output transform, mean over the batch
+    d_pre = (d_out * np.array([lam_hat, mu_hat])).T / len(x)
+    hidden = network._forward_cache(feats, w)[0][-1]
+    assert_allclose(grad_b[-1], d_pre.sum(axis=0), rtol=1e-12)
+    assert_allclose(grad_w[-1], hidden.T @ d_pre, rtol=1e-12)
 
 
 def test_gradient_zero_at_reachable_mse_optimum():
@@ -289,6 +341,27 @@ def test_train_validates_inputs():
         train(table, lam, mu, TrainingConfig(batch_size=64), "mse")
     with pytest.raises(ValueError, match="align"):
         train(table, lam[:-1], mu[:-1], TrainingConfig(batch_size=8), "mse")
+
+
+@pytest.mark.parametrize("label", ["lam", "mu"])
+@pytest.mark.parametrize("bad", [np.nan, 0.0])
+@pytest.mark.parametrize("kind", ["mse", "nll_mse"])
+def test_train_rejects_nan_or_nonpositive_labels(kind, bad, label):
+    table, lam, mu = training_table(64, seed=22)
+    labels = {"lam": lam, "mu": mu}
+    labels[label][5] = bad
+    with pytest.raises(ValueError, match="labels must be positive rates"):
+        train(table, labels["lam"], labels["mu"],
+              TrainingConfig(epochs=2, batch_size=16), kind)
+
+
+def test_train_checks_loss_kind_before_training():
+    table, lam, mu = training_table(16, seed=25)
+    cfg = TrainingConfig(epochs=0, batch_size=8)
+    with pytest.raises(ValueError, match="unknown loss kind"):
+        train(table, lam, mu, cfg, "huber")
+    with pytest.raises(ValueError, match="ratio interpretation"):
+        train(table, lam, mu, cfg, "ratio", ratio_interpretation="geometric")
 
 
 def test_train_early_stopping_restores_best_weights():
