@@ -23,7 +23,6 @@ from .likelihood import (
 )
 from .data import (
     COVARIATE_NAMES,
-    CalibrationSummary,
     CalibrationTable,
     CohortSplit,
     TransactionLog,

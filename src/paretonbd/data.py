@@ -16,7 +16,7 @@ Time is kept as real weeks (days / 7), never rounded to whole weeks.
 import csv
 import datetime
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +62,6 @@ class CohortSplit:
     test_ids: tuple
     split_date: datetime.date
     holdout_length_weeks: float
-
-
-@dataclass
-class CalibrationSummary:
-    customer_id: str
-    x: int
-    t_x: float
-    T: float
-    holdout_count: int
-    covariates: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def make_log(records):
@@ -210,45 +200,33 @@ def make_cohort_split(log, train_fraction, seed, split_date=None):
     return CohortSplit(train, test, split_date, holdout_weeks)
 
 
-def extract_covariates(log, split, ids, names):
-    """Per-customer covariate vectors from calibration-period records only.
-
-    Aligned with the customer order produced by summarize_rfm for the same
-    ids: sorted, keeping only customers with a calibration-period purchase.
-    """
+def _covariates(cal, names):
+    """Covariate vector of one customer's calibration-period records."""
+    row = []
     for name in names:
-        if name not in COVARIATE_NAMES:
-            raise ValueError(f"unknown covariate {name!r}")
-    groups = log.by_customer()
-    rows = []
-    for cid in sorted(ids):
-        recs = groups.get(cid)
-        # same exclusions as summarize_rfm so rows stay aligned
-        if not recs or recs[0].date >= split.split_date:
-            continue
-        cal = [r for r in recs if r.date <= split.split_date]
-        row = []
-        for name in names:
-            if name == "units":
-                if any(r.units is None for r in cal):
-                    raise ValueError("covariate 'units' requested but dataset has no units")
-                row.append(float(sum(r.units for r in cal)))
-            elif name == "total_spend":
-                row.append(sum(r.spend for r in cal))
-            else:
-                row.append(sum(r.spend for r in cal) / len(cal))
-        rows.append(row)
-    return np.asarray(rows, dtype=float).reshape(len(rows), len(names))
+        if name == "units":
+            if any(r.units is None for r in cal):
+                raise ValueError("covariate 'units' requested but dataset has no units")
+            row.append(float(sum(r.units for r in cal)))
+        elif name == "total_spend":
+            row.append(sum(r.spend for r in cal))
+        else:
+            row.append(sum(r.spend for r in cal) / len(cal))
+    return row
 
 
 def summarize_rfm(log, split, ids, covariate_names=()):
-    """Weekly RFM summaries (plus holdout truth) for the given customers.
+    """Weekly RFM summaries (plus holdout truth) for the given customers,
+    with the named covariates of their calibration-period records.
 
     Customers without a calibration-period purchase, or first seen exactly on
     the split date (T would be 0), are excluded with a logged warning.
     """
+    for name in covariate_names:
+        if name not in COVARIATE_NAMES:
+            raise ValueError(f"unknown covariate {name!r}")
     groups = log.by_customer()
-    kept, skipped = [], 0
+    kept, covs, skipped = [], [], 0
     for cid in sorted(ids):
         recs = groups.get(cid)
         if not recs or recs[0].date > split.split_date:
@@ -269,32 +247,31 @@ def summarize_rfm(log, split, ids, covariate_names=()):
                 len(recs) - len(cal),
             )
         )
+        covs.append(_covariates(cal, covariate_names))
     if skipped:
         logger.warning(
             "excluded %d of %d customers with no usable calibration history",
             skipped,
             len(ids),
         )
-    covs = None
-    if covariate_names:
-        covs = extract_covariates(log, split, ids, covariate_names)
     return CalibrationTable(
         customer_ids=[k[0] for k in kept],
         x=[k[1] for k in kept],
         t_x=[k[2] for k in kept],
         T=[k[3] for k in kept],
         holdout_count=[k[4] for k in kept],
-        covariates=covs,
+        covariates=np.asarray(covs, dtype=float).reshape(
+            len(kept), len(covariate_names)),
         covariate_names=tuple(covariate_names),
     )
 
 
 class CalibrationTable:
-    """Columnar container of CalibrationSummary rows.
+    """Per-customer RFM summaries as aligned numpy columns.
 
-    Keeps the per-customer fields as aligned numpy arrays so the estimators
-    can work vectorized; indexing returns a CalibrationSummary for row-level
-    use.
+    customer_ids, x, t_x, T and holdout_count hold one entry per customer,
+    and covariates one row, so the estimators work vectorized.  The columns
+    are validated by the constructor.
     """
 
     def __init__(self, customer_ids, x, t_x, T, holdout_count, covariates=None,
@@ -316,29 +293,15 @@ class CalibrationTable:
             raise ValueError("misaligned summary columns")
         if self.covariates.shape[1] != len(self.covariate_names):
             raise ValueError("covariate names do not match covariate columns")
-        if np.any(self.x < 0) or np.any(self.holdout_count < 0):
+        if (self.x < 0).any() or (self.holdout_count < 0).any():
             raise ValueError("negative counts")
-        if np.any(self.t_x < 0) or np.any(self.t_x > self.T):
+        if (self.t_x < 0).any() or (self.t_x > self.T).any():
             raise ValueError("recency must satisfy 0 <= t_x <= T")
-        if np.any((self.x == 0) & (self.t_x != 0)):
+        if ((self.x == 0) & (self.t_x != 0)).any():
             raise ValueError("x == 0 requires t_x == 0")
 
     def __len__(self):
         return len(self.customer_ids)
-
-    def __getitem__(self, i):
-        return CalibrationSummary(
-            self.customer_ids[i],
-            int(self.x[i]),
-            float(self.t_x[i]),
-            float(self.T[i]),
-            int(self.holdout_count[i]),
-            self.covariates[i],
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def features(self):
         """(n, 3 + k) matrix of (x, t_x, T, covariates...) columns."""

@@ -119,10 +119,15 @@ def fit_model(table, lam, mu, cfg, kind, seed, path, history_path=None):
 
 def write_forecast(table, lam, mu, horizon, cfg, path):
     """Forecast the holdout horizon with cfg's threshold and rounding and
-    write the forecast CSV at path; returns the ForecastTable."""
+    write the forecast CSV at path; returns the ForecastTable.  A collapsed
+    forecast is still written, with a warning that names the file."""
     fc = forecast.make_forecast(table, lam, mu, horizon,
                                 threshold=cfg.threshold, rounding=cfg.rounding)
     forecast.write_forecast_csv(path, fc)
+    if not fc.count_pred.any():
+        logger.warning("degenerate forecast %s: every count is zero", path)
+    elif not (np.isfinite(fc.p_alive).all() and np.isfinite(fc.expected).all()):
+        logger.warning("degenerate forecast %s: non-finite values", path)
     return fc
 
 

@@ -18,6 +18,12 @@ All functions broadcast over array inputs and return scalars for scalar
 inputs.  Rates must be strictly positive; estimators are expected to clamp
 degenerate estimates to ``RATE_FLOOR`` before calling in, rather than the
 math silently flooring them here.
+
+Each public function validates its inputs on every call, then runs an
+unchecked kernel (``_log_likelihood``, ``_grad_log_likelihood``,
+``_p_alive``, ``_forecast``).  Batch callers (network training,
+``forecast.make_forecast``) validate once with ``_check_rates`` /
+``_check_summary`` and call the kernels directly.
 """
 
 import numpy as np
@@ -30,24 +36,28 @@ RATE_FLOOR = 1e-10
 _SMALL_MU_H = 1e-8
 
 
-def _as_arrays(*values):
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    scalar = all(a.ndim == 0 for a in arrays)
-    return arrays, scalar
-
-
 def _check_rates(lam, mu):
-    if np.any(~np.isfinite(lam)) or np.any(lam <= 0.0):
+    # The comparisons are False for NaN, so NaN is rejected too.
+    if not ((lam > 0.0) & (lam < np.inf)).all():
         raise ValueError("purchase rate lam must be positive and finite")
-    if np.any(~np.isfinite(mu)) or np.any(mu <= 0.0):
+    if not ((mu > 0.0) & (mu < np.inf)).all():
         raise ValueError("dropout hazard mu must be positive and finite")
 
 
 def _check_summary(x, t_x, T):
-    if np.any(x < 0):
+    if (x < 0).any():
         raise ValueError("repeat count x must be nonnegative")
-    if np.any(t_x < 0) or np.any(t_x > T):
+    if (t_x < 0).any() or (t_x > T).any():
         raise ValueError("recency must satisfy 0 <= t_x <= T")
+
+
+def _validated(*values):
+    """(x, t_x, T, lam, mu, ...) as float arrays after the rate and summary
+    checks, and whether all of them were scalars."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    _check_rates(*arrays[3:5])
+    _check_summary(*arrays[:3])
+    return arrays, all(a.ndim == 0 for a in arrays)
 
 
 def _log_likelihood(x, t_x, T, lam, mu):
@@ -78,9 +88,7 @@ def log_likelihood(x, t_x, T, lam, mu):
     Computed as x*log(lam) - log(lam+mu) + logaddexp of the two decay terms,
     which is exact in the log domain for any positive rates.
     """
-    (x, t_x, T, lam, mu), scalar = _as_arrays(x, t_x, T, lam, mu)
-    _check_rates(lam, mu)
-    _check_summary(x, t_x, T)
+    (x, t_x, T, lam, mu), scalar = _validated(x, t_x, T, lam, mu)
     out, _ = _log_likelihood(x, t_x, T, lam, mu)
     return float(out) if scalar else out
 
@@ -92,13 +100,31 @@ def grad_log_likelihood(x, t_x, T, lam, mu):
     with exp(-(lam+mu)*t_x) factored out, so only the bounded quantity
     w = exp(-(lam+mu)*(T - t_x)) appears.
     """
-    (x, t_x, T, lam, mu), scalar = _as_arrays(x, t_x, T, lam, mu)
-    _check_rates(lam, mu)
-    _check_summary(x, t_x, T)
+    (x, t_x, T, lam, mu), scalar = _validated(x, t_x, T, lam, mu)
     dlam, dmu = _grad_log_likelihood(x, t_x, T, lam, mu, lam + mu)
     if scalar:
         return float(dlam), float(dmu)
     return dlam, dmu
+
+
+def _p_alive(t_x, T, lam, mu):
+    """Unchecked kernel of p_alive, for validated float arrays."""
+    lam_w = lam * np.exp(-(lam + mu) * (T - t_x))
+    return lam_w / (mu + lam_w)
+
+
+def _forecast(t_x, T, lam, mu, horizon):
+    """Unchecked kernel of expected_holdout_purchases: (alive share,
+    expected count), with the alive share computed once."""
+    alive = _p_alive(t_x, T, lam, mu)
+    small = mu * horizon < _SMALL_MU_H
+    mu_safe = np.where(small, 1.0, mu)
+    expected = np.where(
+        small,
+        alive * lam * horizon,
+        alive * (lam / mu_safe) * (-np.expm1(-mu_safe * horizon)),
+    )
+    return alive, expected
 
 
 def p_alive(x, t_x, T, lam, mu):
@@ -109,11 +135,8 @@ def p_alive(x, t_x, T, lam, mu):
     the observation window.  Identities: t_x == T gives exactly
     lam / (lam + mu); the value tends to 1 as mu -> 0.
     """
-    (x, t_x, T, lam, mu), scalar = _as_arrays(x, t_x, T, lam, mu)
-    _check_rates(lam, mu)
-    _check_summary(x, t_x, T)
-    w = np.exp(-(lam + mu) * (T - t_x))
-    out = lam * w / (mu + lam * w)
+    (x, t_x, T, lam, mu), scalar = _validated(x, t_x, T, lam, mu)
+    out = _p_alive(t_x, T, lam, mu)
     return float(out) if scalar else out
 
 
@@ -126,9 +149,7 @@ def conditional_p_alive(x, t_x, T, lam, mu):
     which to die).  The Gibbs sampler's alive indicator must be drawn from
     this probability; ``p_alive`` above is the classification score.
     """
-    (x, t_x, T, lam, mu), scalar = _as_arrays(x, t_x, T, lam, mu)
-    _check_rates(lam, mu)
-    _check_summary(x, t_x, T)
+    (x, t_x, T, lam, mu), scalar = _validated(x, t_x, T, lam, mu)
     theta = lam + mu
     w = np.exp(-theta * (T - t_x))
     out = theta * w / (mu + lam * w)
@@ -142,15 +163,9 @@ def expected_holdout_purchases(x, t_x, T, lam, mu, horizon):
     Poisson count expected over an Exp(mu)-censored horizon.  For
     mu*horizon < 1e-8 the series limit p_alive * lam * horizon is used.
     """
-    (x, t_x, T, lam, mu, horizon), scalar = _as_arrays(x, t_x, T, lam, mu, horizon)
-    if np.any(horizon < 0):
+    if not (np.asarray(horizon, dtype=float) >= 0).all():  # also rejects NaN
         raise ValueError("horizon must be nonnegative")
-    pa = p_alive(x, t_x, T, lam, mu)
-    small = mu * horizon < _SMALL_MU_H
-    mu_safe = np.where(small, 1.0, mu)
-    out = np.where(
-        small,
-        pa * lam * horizon,
-        pa * (lam / mu_safe) * (-np.expm1(-mu_safe * horizon)),
-    )
+    (x, t_x, T, lam, mu, horizon), scalar = _validated(x, t_x, T, lam, mu,
+                                                       horizon)
+    out = _forecast(t_x, T, lam, mu, horizon)[1]
     return float(out) if scalar else out

@@ -180,7 +180,7 @@ def _forward_cache(features, w, masks=None):
             act = act * masks[layer]
         inputs.append(act)
     pre = inputs[-1] @ w.weights[-1] + w.biases[-1]
-    clamped = np.clip(pre, -PRE_CLAMP, PRE_CLAMP)
+    clamped = np.minimum(np.maximum(pre, -PRE_CLAMP), PRE_CLAMP)
     out = np.exp(clamped)
     return inputs, sigmoids, pre, out
 

@@ -254,22 +254,36 @@ def test_unknown_covariate_rejected():
 
 
 def test_covariates_stay_aligned_with_summaries():
-    # a customer first seen exactly on the split date is excluded from both
+    # customers first seen exactly on or after the split date, or not in the
+    # log at all, are excluded from both; holdout spend is not counted
     acq = D(2020, 1, 6)
     split_date = acq + datetime.timedelta(days=70)
+    later = split_date + datetime.timedelta(days=7)
     log = log_from(
         [
             ("a", acq, 10.0, 1),
+            ("a", later, 500.0, 50),
+            ("after", later, 77.0, 7),
             ("boundary", split_date, 99.0, 9),
+            ("m", acq + datetime.timedelta(days=3), 6.0, 1),
+            ("m", acq + datetime.timedelta(days=10), 2.0, 3),
             ("z", acq + datetime.timedelta(days=7), 40.0, 2),
         ]
     )
+    split = split_at(log, split_date)
+    names = ("units", "total_spend", "mean_spend")
     table = data.summarize_rfm(
-        log, split_at(log, split_date), ["a", "boundary", "z"],
-        covariate_names=("total_spend",)
+        log, split, ["z", "boundary", "absent", "m", "after", "a"],
+        covariate_names=names,
     )
-    assert table.customer_ids == ["a", "z"]
-    assert_allclose(table.covariates[:, 0], [10.0, 40.0], rtol=0)
+    assert table.customer_ids == ["a", "m", "z"]
+    assert_allclose(table.covariates,
+                    [[1.0, 10.0, 10.0], [4.0, 8.0, 4.0], [2.0, 40.0, 40.0]],
+                    rtol=0)
+    assert list(table.holdout_count) == [1, 0, 0]
+    empty = data.summarize_rfm(log, split, ["after", "boundary"],
+                               covariate_names=names)
+    assert len(empty) == 0 and empty.covariates.shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +311,26 @@ def test_table_round_trip_csv(tmp_path):
     assert np.array_equal(back.x, table.x)
     assert np.array_equal(back.t_x, table.t_x)
     assert np.array_equal(back.holdout_count, table.holdout_count)
+
+
+@pytest.mark.parametrize("columns, kwargs, message", [
+    ((["a", "b"], [1], [0.0], [5.0], [0]), {}, "misaligned summary columns"),
+    ((["a"], [1], [0.0], [5.0], [0]), {"covariates": [[1.0]]},
+     "covariate names do not match covariate columns"),
+    ((["a"], [-1], [0.0], [5.0], [0]), {}, "negative counts"),
+    ((["a"], [1], [0.0], [5.0], [-2]), {}, "negative counts"),
+    ((["a"], [1], [-1.0], [5.0], [0]), {}, "recency must satisfy"),
+    ((["a"], [1], [6.0], [5.0], [0]), {}, "recency must satisfy"),
+    ((["a"], [0], [3.0], [5.0], [0]), {}, "x == 0 requires t_x == 0"),
+])
+def test_table_error_messages(columns, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        data.CalibrationTable(*columns, **kwargs)
+
+
+def test_empty_table_constructs():
+    table = data.CalibrationTable([], [], [], [], [])
+    assert len(table) == 0 and table.features().shape == (0, 3)
 
 
 def test_table_validates_recency_convention():

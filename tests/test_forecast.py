@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretonbd import forecast
+from paretonbd import experiment, forecast, likelihood
+from paretonbd.config import ExperimentConfig
 from paretonbd.data import CalibrationTable
 from paretonbd.forecast import (
     ForecastTable,
@@ -15,7 +16,11 @@ from paretonbd.forecast import (
     round_counts,
     write_forecast_csv,
 )
-from paretonbd.likelihood import expected_holdout_purchases, p_alive
+from paretonbd.likelihood import (
+    conditional_p_alive,
+    expected_holdout_purchases,
+    p_alive,
+)
 
 
 def small_table():
@@ -93,6 +98,152 @@ def test_make_forecast_validates_shapes():
     with pytest.raises(ValueError):
         make_forecast(table, np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3]),
                       horizon=26.0)
+
+
+# The formulas of p_alive, conditional_p_alive and expected_holdout_purchases
+# as each computed them on its own, before the forecast kernel.
+def reference_p_alive(t_x, T, lam, mu):
+    w = np.exp(-(lam + mu) * (T - t_x))
+    return lam * w / (mu + lam * w)
+
+
+def reference_conditional_p_alive(t_x, T, lam, mu):
+    theta = lam + mu
+    w = np.exp(-theta * (T - t_x))
+    return theta * w / (mu + lam * w)
+
+
+def reference_expected(t_x, T, lam, mu, horizon):
+    pa = reference_p_alive(t_x, T, lam, mu)
+    small = mu * horizon < 1e-8
+    mu_safe = np.where(small, 1.0, mu)
+    return np.where(small, pa * lam * horizon,
+                    pa * (lam / mu_safe) * (-np.expm1(-mu_safe * horizon)))
+
+
+def bit_grid():
+    """(x, t_x, T, lam, mu) rows covering x == 0, t_x == T, mu*horizon
+    below 1e-8, and T - t_x long enough for exp(-(lam+mu)(T-t_x)) to
+    underflow to 0."""
+    rows = []
+    for lam in (1e-10, 0.03, 0.7, 5.0):
+        for mu in (1e-10, 0.004, 0.2, 3.0):
+            for x, t_x, T in ((0, 0.0, 30.0), (1, 30.0, 30.0), (4, 12.5, 52.0),
+                              (2, 1.0, 600.0)):
+                rows.append((x, t_x, T, lam, mu))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def test_forecast_kernel_keeps_the_bits():
+    horizon = 39.0
+    x, t_x, T, lam, mu = bit_grid()
+    assert (mu * horizon < 1e-8).any() and (mu * horizon >= 1e-8).any()
+    assert np.exp(-(lam + mu) * (T - t_x)).min() == 0.0
+    table = CalibrationTable([str(i) for i in range(len(x))], x, t_x, T,
+                             np.zeros(len(x), dtype=int))
+    fc = make_forecast(table, lam, mu, horizon)
+    want_alive = reference_p_alive(t_x, T, lam, mu)
+    want_expected = reference_expected(t_x, T, lam, mu, horizon)
+    assert np.array_equal(fc.p_alive, p_alive(x, t_x, T, lam, mu))
+    assert np.array_equal(fc.expected,
+                          expected_holdout_purchases(x, t_x, T, lam, mu, horizon))
+    assert np.array_equal(fc.p_alive, want_alive)
+    assert np.array_equal(fc.expected, want_expected)
+    assert np.array_equal(conditional_p_alive(x, t_x, T, lam, mu),
+                          reference_conditional_p_alive(t_x, T, lam, mu))
+    for i in range(len(x)):  # the scalar path of each public function
+        row = (x[i], t_x[i], T[i], lam[i], mu[i])
+        assert p_alive(*row) == want_alive[i]
+        assert expected_holdout_purchases(*row, horizon) == want_expected[i]
+        assert conditional_p_alive(*row) == reference_conditional_p_alive(
+            *row[1:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -1.0, np.inf])
+@pytest.mark.parametrize("which, message", [
+    ("lam", "purchase rate lam must be positive and finite"),
+    ("mu", "dropout hazard mu must be positive and finite"),
+])
+def test_make_forecast_rejects_bad_rates(which, message, bad):
+    rates = {"lam": np.array([0.1, 0.05, 0.3]),
+             "mu": np.array([0.02, 0.04, 0.01])}
+    rates[which][1] = bad
+    with pytest.raises(ValueError, match=message):
+        make_forecast(small_table(), rates["lam"], rates["mu"], horizon=26.0)
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("x", -1, "repeat count x must be nonnegative"),
+    ("t_x", -0.5, "recency must satisfy"),
+    ("t_x", 60.0, "recency must satisfy"),
+])
+def test_make_forecast_rejects_table_mutated_after_construction(
+        column, value, message):
+    table = small_table()
+    getattr(table, column)[2] = value
+    with pytest.raises(ValueError, match=message):
+        make_forecast(table, np.array([0.1, 0.05, 0.3]),
+                      np.array([0.02, 0.04, 0.01]), horizon=26.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"horizon": 0.0}, "horizon must be positive"),
+    ({"horizon": -1.0}, "horizon must be positive"),
+    ({"horizon": np.nan}, "horizon must be positive"),
+    ({"horizon": 26.0, "threshold": -0.1}, r"threshold must lie in \[0, 1\]"),
+    ({"horizon": 26.0, "threshold": 1.1}, r"threshold must lie in \[0, 1\]"),
+    ({"horizon": 26.0, "threshold": np.nan}, r"threshold must lie in \[0, 1\]"),
+])
+def test_make_forecast_rejects_bad_horizon_and_threshold(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        make_forecast(small_table(), np.array([0.1, 0.05, 0.3]),
+                      np.array([0.02, 0.04, 0.01]), **kwargs)
+
+
+def test_make_forecast_of_an_empty_table_is_empty():
+    fc = make_forecast(CalibrationTable([], [], [], [], []), np.array([]),
+                       np.array([]), horizon=26.0)
+    assert len(fc) == 0 and fc.expected.shape == (0,)
+
+
+def test_make_forecast_checks_rates_and_summaries_once(monkeypatch):
+    calls = {"rates": 0, "summary": 0}
+
+    def counted(name, check):
+        def wrapper(*args):
+            calls[name] += 1
+            return check(*args)
+        return wrapper
+
+    # Patched in both namespaces, so a call through the public likelihood
+    # functions would be counted as well.
+    for module in (forecast, likelihood):
+        monkeypatch.setattr(module, "_check_rates",
+                            counted("rates", likelihood._check_rates))
+        monkeypatch.setattr(module, "_check_summary",
+                            counted("summary", likelihood._check_summary))
+    make_forecast(small_table(), np.array([0.1, 0.05, 0.3]),
+                  np.array([0.02, 0.04, 0.01]), horizon=26.0)
+    assert calls == {"rates": 1, "summary": 1}
+
+
+@pytest.mark.parametrize("mu, warned", [(1e3, True), (0.02, False)])
+def test_write_forecast_warns_about_a_collapsed_forecast(tmp_path, caplog, mu,
+                                                         warned):
+    table = small_table()
+    path = tmp_path / "forecast_nn_ratio.csv"
+    with caplog.at_level("WARNING", logger="paretonbd.experiment"):
+        fc = experiment.write_forecast(table, np.full(3, 0.2), np.full(3, mu),
+                                       26.0, ExperimentConfig(), path)
+    assert path.exists()
+    assert (not fc.count_pred.any()) == warned
+    messages = [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"]
+    if warned:
+        assert len(messages) == 1
+        assert str(path) in messages[0] and "every count is zero" in messages[0]
+    else:
+        assert messages == []
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,8 @@ def test_expected_purchases_monotone_in_horizon():
 def test_expected_purchases_rejects_negative_horizon():
     with pytest.raises(ValueError):
         expected_holdout_purchases(2, 10.0, 30.0, 0.1, 0.02, -1.0)
+
+
+def test_expected_purchases_rejects_nan_horizon():
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        expected_holdout_purchases(2, 10.0, 30.0, 0.1, 0.02, np.nan)
