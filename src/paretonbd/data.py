@@ -305,9 +305,12 @@ class CalibrationTable:
 
     def features(self):
         """(n, 3 + k) matrix of (x, t_x, T, covariates...) columns."""
-        return np.column_stack(
-            [self.x.astype(float), self.t_x, self.T, self.covariates]
-        )
+        out = np.empty((len(self.x), 3 + self.covariates.shape[1]))
+        out[:, 0] = self.x
+        out[:, 1] = self.t_x
+        out[:, 2] = self.T
+        out[:, 3:] = self.covariates
+        return out
 
     def to_csv(self, path):
         header = ["customer_id", "x", "t_x", "T", "holdout_count"]

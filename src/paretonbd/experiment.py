@@ -9,8 +9,10 @@ the holdout period for the out-of-sample cohort with every model and writes
 the metric tables.
 
 All artifacts land in the configured output directory; MANIFEST.json
-records which stages completed and the digest of every deterministic
-artifact, so a failed run leaves an honest partial record behind.
+records which stages completed, the digest of every deterministic
+artifact and the forecast files that collapsed (all-zero counts or
+non-finite values; the run still succeeds), so a failed run leaves an
+honest partial record behind.
 
 Each stage step is one function here (load_log, fit_labels, fit_model,
 write_forecast, evaluate_forecasts, write_metric_tables); run_experiment
@@ -124,10 +126,9 @@ def write_forecast(table, lam, mu, horizon, cfg, path):
     fc = forecast.make_forecast(table, lam, mu, horizon,
                                 threshold=cfg.threshold, rounding=cfg.rounding)
     forecast.write_forecast_csv(path, fc)
-    if not fc.count_pred.any():
-        logger.warning("degenerate forecast %s: every count is zero", path)
-    elif not (np.isfinite(fc.p_alive).all() and np.isfinite(fc.expected).all()):
-        logger.warning("degenerate forecast %s: non-finite values", path)
+    reason = forecast.degenerate_reason(fc)
+    if reason:
+        logger.warning("degenerate forecast %s: %s", path, reason)
     return fc
 
 
@@ -300,6 +301,9 @@ def run_experiment(cfg):
                 test_table, lam, mu, horizon, cfg, path(name))
             emit(name)
             timing["per_loss"][kind] += time.perf_counter() - t0
+        manifest["degenerate_forecasts"] = [
+            f"forecast_{model}.csv" for model, fc in forecasts.items()
+            if forecast.degenerate_reason(fc)]
 
     with stage("evaluate"):
         holdout = test_table.holdout_count

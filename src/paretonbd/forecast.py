@@ -92,6 +92,16 @@ def make_forecast(table, lam, mu, horizon, threshold=DEFAULT_THRESHOLD,
     )
 
 
+def degenerate_reason(fc):
+    """Why a ForecastTable has collapsed, or None when it has not: every
+    count zero, or a non-finite alive share or expected count."""
+    if not fc.count_pred.any():
+        return "every count is zero"
+    if not (np.isfinite(fc.p_alive).all() and np.isfinite(fc.expected).all()):
+        return "non-finite values"
+    return None
+
+
 def count_histogram(counts, cap):
     """Histogram of integer counts with bins 0..cap-1 and a 'cap+' overflow.
 

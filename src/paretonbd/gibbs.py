@@ -9,6 +9,12 @@ shapes, which are updated by slice sampling.
 Sweep order: per customer (z, tau), then lam_i, then mu_i, then the four
 hyperparameters.  All per-customer draws are vectorized; a fixed seed gives
 bit-identical output.
+
+The public conditional draws (``draw_alive``, ``draw_dropout_time``,
+``draw_lambda``, ``draw_mu``) validate their inputs on every call, then run
+an unchecked kernel.  ``run_chain`` validates the cohort once, and
+``gibbs_sweep`` calls the kernels directly, computing lam + mu and the
+exposure once per sweep.
 """
 
 import csv
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .likelihood import RATE_FLOOR, conditional_p_alive
+from .likelihood import RATE_FLOOR, _conditional_p_alive, conditional_p_alive
 
 # Guard against float underflow of Gamma draws with very small shapes; rates
 # this small are indistinguishable from zero for any horizon of interest.
@@ -94,6 +100,11 @@ def draw_dropout_time(t_x, T, lam, mu, u):
     if np.any(t_x >= T):
         raise ValueError("dropout time undefined when t_x >= T")
     theta = np.asarray(lam, dtype=float) + np.asarray(mu, dtype=float)
+    return _dropout_time(t_x, T, theta, u)
+
+
+def _dropout_time(t_x, T, theta, u):
+    """Unchecked kernel of draw_dropout_time, for theta = lam + mu."""
     # 1 - exp(-theta*(T-t_x)) via expm1, exact for small theta
     span_mass = -np.expm1(-theta * (T - t_x))
     return t_x - np.log1p(-u * span_mass) / theta
@@ -104,7 +115,12 @@ def draw_lambda(x, exposure, hyper, rng):
     exposure = np.asarray(exposure, dtype=float)
     if np.any(exposure <= 0):
         raise ValueError("exposure must be positive")
-    draw = rng.gamma(hyper.r + np.asarray(x), 1.0 / (hyper.alpha + exposure))
+    return _draw_lambda(np.asarray(x), exposure, hyper, rng)
+
+
+def _draw_lambda(x, exposure, hyper, rng):
+    """Unchecked kernel of draw_lambda."""
+    draw = rng.gamma(hyper.r + x, 1.0 / (hyper.alpha + exposure))
     return np.maximum(draw, _DRAW_FLOOR)
 
 
@@ -123,9 +139,14 @@ def draw_mu(alive, T, tau, hyper, rng):
     tau = np.asarray(tau, dtype=float)
     if np.any(~alive & ~((tau > 0) & np.isfinite(tau))):
         raise ValueError("dead customers need a finite positive tau")
+    return _draw_mu(alive, np.where(alive, T, tau), hyper, rng)
+
+
+def _draw_mu(alive, exposure, hyper, rng):
+    """Unchecked kernel of draw_mu; exposure is T for the alive and tau for
+    the dead."""
     shape = np.where(alive, hyper.s, hyper.s + 1.0)
-    rate = hyper.beta + np.where(alive, T, tau)
-    draw = rng.gamma(shape, 1.0 / rate)
+    draw = rng.gamma(shape, 1.0 / (hyper.beta + exposure))
     return np.maximum(draw, _DRAW_FLOOR)
 
 
@@ -239,25 +260,28 @@ def update_hyperparams(lams, mus, hyper, cfg, rng):
 def gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng):
     """One systematic scan: (z, tau) per customer, lam, mu, hyperparameters.
 
-    Returns the new (lam, mu, hyper).  With cfg.fixed_hyper set, the
-    population-level moves are skipped and hyper passes through unchanged.
+    Returns the new (lam, mu, hyper).  The inputs are trusted: float arrays
+    of a validated summary with T > 0, and positive rates, as run_chain
+    passes them.  With cfg.fixed_hyper set, the population-level moves are
+    skipped and hyper passes through unchanged.
     The hyperparameter stage pairs each blocked (shape, rate) draw with a
     population scale move, which decorrelates the rates from their
     hyperparameter far faster than the one-at-a-time conditionals alone.
     """
     n = x.shape[0]
-    alive = draw_alive(x, t_x, T, lam, mu, rng.random(n))
+    theta = lam + mu
+    alive = rng.random(n) < _conditional_p_alive(t_x, T, lam, mu, theta)
     u_tau = rng.random(n)
-    tau = np.where(alive, T, np.nan)
+    # exposure: T for the alive, the dropout time tau for the dead
+    exposure = T.copy()
     dead = ~alive
     if np.any(dead):
         # dead draws only occur where t_x < T (the conditional alive
         # probability is exactly 1 at t_x == T)
-        tau[dead] = draw_dropout_time(
-            t_x[dead], T[dead], lam[dead], mu[dead], u_tau[dead])
-    exposure = np.where(alive, T, tau)
-    lam = draw_lambda(x, exposure, hyper, rng)
-    mu = draw_mu(alive, T, tau, hyper, rng)
+        exposure[dead] = _dropout_time(
+            t_x[dead], T[dead], theta[dead], u_tau[dead])
+    lam = _draw_lambda(x, exposure, hyper, rng)
+    mu = _draw_mu(alive, exposure, hyper, rng)
 
     if cfg.fixed_hyper is not None:
         return lam, mu, cfg.fixed_hyper
@@ -290,6 +314,8 @@ def run_chain(table, cfg):
     x = np.asarray(table.x, dtype=float)
     t_x = np.asarray(table.t_x, dtype=float)
     T = np.asarray(table.T, dtype=float)
+    if np.any(T <= 0):
+        raise ValueError("exposure must be positive")
 
     rng = np.random.default_rng(cfg.seed)
     lam = (x + 1.0) / T

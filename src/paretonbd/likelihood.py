@@ -21,9 +21,9 @@ math silently flooring them here.
 
 Each public function validates its inputs on every call, then runs an
 unchecked kernel (``_log_likelihood``, ``_grad_log_likelihood``,
-``_p_alive``, ``_forecast``).  Batch callers (network training,
-``forecast.make_forecast``) validate once with ``_check_rates`` /
-``_check_summary`` and call the kernels directly.
+``_p_alive``, ``_conditional_p_alive``, ``_forecast``).  Batch callers
+(network training, ``forecast.make_forecast``, the Gibbs sweep) validate
+once and call the kernels directly.
 """
 
 import numpy as np
@@ -113,6 +113,13 @@ def _p_alive(t_x, T, lam, mu):
     return lam_w / (mu + lam_w)
 
 
+def _conditional_p_alive(t_x, T, lam, mu, theta):
+    """Unchecked kernel of conditional_p_alive, for validated float arrays
+    and theta = lam + mu."""
+    w = np.exp(-theta * (T - t_x))
+    return theta * w / (mu + lam * w)
+
+
 def _forecast(t_x, T, lam, mu, horizon):
     """Unchecked kernel of expected_holdout_purchases: (alive share,
     expected count), with the alive share computed once."""
@@ -150,9 +157,7 @@ def conditional_p_alive(x, t_x, T, lam, mu):
     this probability; ``p_alive`` above is the classification score.
     """
     (x, t_x, T, lam, mu), scalar = _validated(x, t_x, T, lam, mu)
-    theta = lam + mu
-    w = np.exp(-theta * (T - t_x))
-    out = theta * w / (mu + lam * w)
+    out = _conditional_p_alive(t_x, T, lam, mu, lam + mu)
     return float(out) if scalar else out
 
 

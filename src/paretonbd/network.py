@@ -23,7 +23,11 @@ Training objectives, per datapoint with label (lam, mu) and prediction
 One kernel, ``_loss_and_output_grad``, gives every kind's pointwise loss and
 its derivatives w.r.t. (lam_hat, mu_hat), with the arithmetic of the public
 likelihood functions but each shared term computed once per batch; exact
-backpropagation goes on from there.  Every weight and bias is a view into one
+backpropagation goes on from there.  The forward pass computes each hidden
+sigmoid in place as 1 / (1 + exp(-z)) with numpy's vectorized exp, within a
+few ulp of ``scipy.special.expit`` at a fraction of its per-call cost; the
+backward pass sums each bias gradient over the batch as one BLAS product
+with a vector of ones.  Every weight and bias is a view into one
 float64 buffer, ``NetworkWeights.flat``, which Adam updates whole, over
 shuffled mini-batches with optional early stopping on a validation slice.
 ``train`` and ``loss`` validate their inputs once, at entry; ``loss_gradient``
@@ -34,7 +38,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .likelihood import (RATE_FLOOR, _check_rates, _check_summary,
                          _grad_log_likelihood, _log_likelihood)
@@ -174,7 +177,11 @@ def _forward_cache(features, w, masks=None):
     sigmoids = []
     for layer in range(hidden):
         z = inputs[-1] @ w.weights[layer] + w.biases[layer]
-        act = expit(z)
+        # sigmoid 1 / (1 + exp(-z)), in place on the fresh z
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        act = np.reciprocal(z, out=z)
         sigmoids.append(act)
         if masks is not None:
             act = act * masks[layer]
@@ -282,10 +289,11 @@ def loss_gradient(features, x, t_x, T, lam, mu, w, kind,
 
     grad_w = [None] * len(w.weights)
     grad_b = [None] * len(w.biases)
+    ones = np.ones(n)
     delta = d_pre
     for layer in range(len(w.weights) - 1, -1, -1):
         grad_w[layer] = inputs[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+        grad_b[layer] = ones @ delta  # column sums as one BLAS gemv
         if layer > 0:
             da = delta @ w.weights[layer].T
             if masks is not None:

@@ -298,6 +298,8 @@ def test_table_features_layout():
     feats = table.features()
     assert feats.shape == (2, 4)
     assert_allclose(feats[0], [2.0, 5.0, 10.0, 30.0], rtol=0)
+    assert np.array_equal(feats, np.column_stack(
+        [table.x.astype(float), table.t_x, table.T, table.covariates]))
 
 
 def test_table_round_trip_csv(tmp_path):

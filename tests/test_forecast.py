@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretonbd import experiment, forecast, likelihood
+from paretonbd import cli, experiment, forecast, likelihood
 from paretonbd.config import ExperimentConfig
 from paretonbd.data import CalibrationTable
 from paretonbd.forecast import (
@@ -244,6 +244,36 @@ def test_write_forecast_warns_about_a_collapsed_forecast(tmp_path, caplog, mu,
         assert str(path) in messages[0] and "every count is zero" in messages[0]
     else:
         assert messages == []
+
+
+def test_manifest_lists_collapsed_forecasts(tmp_path, monkeypatch):
+    datadir = tmp_path / "cohort"
+    assert cli.main(["simulate", "--n", "200", "--seed", "5",
+                     "--out", str(datadir)]) == 0
+    monkeypatch.setattr(
+        experiment.network, "predict_params",
+        lambda table, w, scaler: (np.full(len(table), 0.2),
+                                  np.full(len(table), 1000.0)))
+    cfg = ExperimentConfig(
+        dataset=str(datadir / "transactions.csv"), out=str(tmp_path / "out"),
+        seed=9, sweeps=60, burn_in=20, epochs=2, batch_size=64, patience=0,
+        losses=("mse", "nll"))
+    result = experiment.run_experiment(cfg)
+    assert result.status == 0 and result.manifest["status"] == "ok"
+    assert result.manifest["degenerate_forecasts"] == [
+        "forecast_nn_mse.csv", "forecast_nn_nll.csv"]
+
+
+def test_degenerate_reason_names_zero_counts_and_non_finite_values():
+    def table(expected, counts):
+        return ForecastTable(("a", "b"), np.full(2, 0.5), np.zeros(2, bool),
+                             np.asarray(expected), np.asarray(counts))
+
+    assert (forecast.degenerate_reason(table([0.1, 0.2], [0, 0]))
+            == "every count is zero")
+    assert (forecast.degenerate_reason(table([2.0, np.inf], [2, 0]))
+            == "non-finite values")
+    assert forecast.degenerate_reason(table([2.0, 0.0], [2, 0])) is None
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,54 @@ def test_run_chain_records_hyper_trace_when_asked():
     assert np.all(post.hyper_trace > 0)
 
 
+def reference_sweep(x, t_x, T, lam, mu, hyper, cfg, rng):
+    """gibbs_sweep composed from the validated public draws."""
+    n = x.shape[0]
+    alive = gibbs.draw_alive(x, t_x, T, lam, mu, rng.random(n))
+    u_tau = rng.random(n)
+    tau = np.where(alive, T, np.nan)
+    dead = ~alive
+    if np.any(dead):
+        tau[dead] = gibbs.draw_dropout_time(
+            t_x[dead], T[dead], lam[dead], mu[dead], u_tau[dead])
+    exposure = np.where(alive, T, tau)
+    lam = gibbs.draw_lambda(x, exposure, hyper, rng)
+    mu = gibbs.draw_mu(alive, T, tau, hyper, rng)
+    a0, b0 = cfg.hyper_prior
+    c_lam = gibbs._population_scale_move(
+        lam, hyper.alpha, float(np.sum(lam * exposure)), float(np.sum(x)),
+        a0, b0, rng)
+    c_mu = gibbs._population_scale_move(
+        mu, hyper.beta, float(np.sum(mu * exposure)), float(np.sum(dead)),
+        a0, b0, rng)
+    lam = np.maximum(lam / c_lam, gibbs._DRAW_FLOOR)
+    mu = np.maximum(mu / c_mu, gibbs._DRAW_FLOOR)
+    hyper = HyperParams(hyper.r, hyper.alpha * c_lam,
+                        hyper.s, hyper.beta * c_mu)
+    return lam, mu, gibbs.update_hyperparams(lam, mu, hyper, cfg, rng)
+
+
+def test_sweep_equals_public_draw_composition_bit_for_bit():
+    cohort = simulate.make_cohort(300, seed=21)
+    end = max(r.date for r in cohort.log.records)
+    split = data.CohortSplit(tuple(cohort.customer_ids), (),
+                             end + datetime.timedelta(days=1), 1.0)
+    table = data.summarize_rfm(cohort.log, split, cohort.customer_ids)
+    x, t_x, T = (np.asarray(a, dtype=float)
+                 for a in (table.x, table.t_x, table.T))
+    cfg = ChainConfig()
+    start = ((x + 1.0) / T, 1.0 / T, HyperParams(1.0, 1.0, 1.0, 1.0))
+    got, want = start, start
+    rng_got, rng_want = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(5):
+        got = gibbs.gibbs_sweep(x, t_x, T, *got, cfg, rng_got)
+        want = reference_sweep(x, t_x, T, *want, cfg, rng_want)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+    assert rng_got.random() == rng_want.random()
+
+
 def test_chain_config_validation():
     with pytest.raises(ValueError):
         ChainConfig(sweeps=100, burn_in=100)

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 from paretonbd import network
 from paretonbd.data import CalibrationTable
@@ -103,6 +104,15 @@ def test_forward_micro_network_pocket_calculator():
     a = 1.0 / (1.0 + math.exp(-(0.5 * 0.8 + 0.2)))
     assert_allclose(lam, math.exp(0.3 * a + 0.1), rtol=1e-14)
     assert_allclose(mu, math.exp(-0.4 * a + 0.05), rtol=1e-14)
+
+
+def test_hidden_sigmoid_matches_expit_within_4_ulp():
+    z = np.linspace(-700.0, 700.0, 14_001)
+    w = NetworkWeights([[[1.0]], [[1.0, 1.0]]], [[0.0], [0.0, 0.0]])
+    act = network._forward_cache(z[:, None], w)[1][0][:, 0]
+    want = expit(z)
+    assert np.all(np.abs(act - want) <= 4 * np.spacing(want))
+    assert np.all((act >= 0.0) & (act <= 1.0))
 
 
 def test_forward_inference_repeatable():
