@@ -11,6 +11,13 @@ The pipeline turns raw purchase events into one row per customer:
 Same-day purchases are merged (summing spend and units) before any
 summarization, so x == 0 always means exactly one calibration transaction.
 Time is kept as real weeks (days / 7), never rounded to whole weeks.
+
+Every CSV artifact of the package (transactions, summaries, labels,
+histories, forecasts and metric tables) is written by ``write_csv``: one
+header row, ``\n`` line endings, standard csv quoting, floats as their exact
+repr, bools as 0/1 and missing values as empty cells.  ``read_csv`` reads
+them back, finding columns by name; transactions, which may come from
+outside, go through ``ingest_csv`` and its line-numbered checks.
 """
 
 import csv
@@ -26,6 +33,50 @@ DAYS_PER_WEEK = 7.0
 
 # Covariates computable from calibration-period records.
 COVARIATE_NAMES = ("units", "total_spend", "mean_spend")
+
+# Leading columns of a summaries CSV; covariates follow as cov_<name>.
+SUMMARY_COLUMNS = ("customer_id", "x", "t_x", "T", "holdout_count")
+
+
+def _cells(column):
+    """Arrays as Python scalars, bools as 0/1; csv.writer prints a float
+    as its repr and None as an empty cell."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == bool:
+            column = column.astype(np.int64)
+        return column.tolist()
+    return column
+
+
+def write_csv(path, header, columns):
+    """Write a header row, then row i holding entry i of every column."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(*map(_cells, columns)))
+
+
+def read_csv(path, required, what):
+    """{column name: tuple of cell strings}, in header order, skipping blank
+    lines.  An empty file, a missing or repeated column, or a row whose width
+    differs from the header's raises ValueError naming the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header:
+            raise ValueError(f"{path}: empty {what} file")
+        rows = [row for row in reader if row]
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise ValueError(f"{path}: missing {what} columns {missing}")
+    if len(set(header)) != len(header):
+        raise ValueError(f"{path}: repeated {what} column in {header!r}")
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: {what} row {i} has {len(row)} fields, "
+                             f"header has {len(header)}")
+    columns = list(zip(*rows)) if rows else [()] * len(header)
+    return dict(zip(header, columns))
 
 
 @dataclass
@@ -134,16 +185,14 @@ def ingest_csv(path):
 
 def write_transactions_csv(path, log):
     """Emit a log in the generic CSV format (round-trips through ingest_csv)."""
-    has_units = all(r.units is not None for r in log.records)
-    header = ["customer_id", "date", "spend"] + (["units"] if has_units else [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in log.records:
-            row = [r.customer_id, r.date.isoformat(), repr(r.spend)]
-            if has_units:
-                row.append(r.units)
-            writer.writerow(row)
+    recs = log.records
+    header = ["customer_id", "date", "spend"]
+    columns = [[r.customer_id for r in recs], [r.date.isoformat() for r in recs],
+               [r.spend for r in recs]]
+    if all(r.units is not None for r in recs):
+        header.append("units")
+        columns.append([r.units for r in recs])
+    write_csv(path, header, columns)
 
 
 def merge_same_day(log):
@@ -313,44 +362,19 @@ class CalibrationTable:
         return out
 
     def to_csv(self, path):
-        header = ["customer_id", "x", "t_x", "T", "holdout_count"]
-        header += [f"cov_{name}" for name in self.covariate_names]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, cid in enumerate(self.customer_ids):
-                row = [
-                    cid,
-                    int(self.x[i]),
-                    repr(float(self.t_x[i])),
-                    repr(float(self.T[i])),
-                    int(self.holdout_count[i]),
-                ]
-                row += [repr(float(v)) for v in self.covariates[i]]
-                writer.writerow(row)
+        header = [*SUMMARY_COLUMNS, *(f"cov_{n}" for n in self.covariate_names)]
+        write_csv(path, header, [self.customer_ids, self.x, self.t_x, self.T,
+                                 self.holdout_count, *self.covariates.T])
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            base = ["customer_id", "x", "t_x", "T", "holdout_count"]
-            if header[: len(base)] != base:
-                raise ValueError(f"{path}: bad summaries header {header!r}")
-            cov_names = []
-            for col in header[len(base):]:
-                if not col.startswith("cov_"):
-                    raise ValueError(f"{path}: bad covariate column {col!r}")
-                cov_names.append(col[len("cov_"):])
-            ids, x, t_x, T, hold, covs = [], [], [], [], [], []
-            for row in reader:
-                if not row:
-                    continue
-                ids.append(row[0])
-                x.append(int(row[1]))
-                t_x.append(float(row[2]))
-                T.append(float(row[3]))
-                hold.append(int(row[4]))
-                covs.append([float(v) for v in row[5:]])
-        covariates = np.asarray(covs, dtype=float).reshape(len(ids), len(cov_names))
-        return cls(ids, x, t_x, T, hold, covariates, tuple(cov_names))
+        cols = read_csv(path, SUMMARY_COLUMNS, "summaries")
+        cov_cols = [name for name in cols if name not in SUMMARY_COLUMNS]
+        for name in cov_cols:
+            if not name.startswith("cov_"):
+                raise ValueError(f"{path}: bad covariate column {name!r}")
+        ids = cols["customer_id"]
+        covariates = np.array([cols[name] for name in cov_cols],
+                              dtype=float).T.reshape(len(ids), len(cov_cols))
+        return cls(ids, *(cols[name] for name in SUMMARY_COLUMNS[1:]),
+                   covariates, tuple(name[len("cov_"):] for name in cov_cols))

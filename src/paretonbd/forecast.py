@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import read_csv, write_csv
 from .likelihood import _check_rates, _check_summary, _forecast
 # Unused here; kept in this namespace, where perfbench counts calls to them.
 from .likelihood import expected_holdout_purchases, p_alive  # noqa: F401
@@ -28,7 +29,7 @@ ROUNDING_MODES = ("half_away", "floor", "nearest")
 DEFAULT_THRESHOLD = 0.5
 
 
-def round_counts(values, mode="half_away"):
+def round_counts(values, mode=ROUNDING_MODES[0]):
     """Round expected counts to integers.
 
     half_away  ties away from zero: floor(v + 0.5)
@@ -69,7 +70,7 @@ class ForecastTable:
 
 
 def make_forecast(table, lam, mu, horizon, threshold=DEFAULT_THRESHOLD,
-                  rounding="half_away"):
+                  rounding=ROUNDING_MODES[0]):
     """Forecast the holdout period for every row of a CalibrationTable."""
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -118,34 +119,22 @@ def count_histogram(counts, cap):
     return labels, freqs
 
 
+FORECAST_COLUMNS = ("customer_id", "p_alive", "inactive_pred", "expected",
+                    "count_pred")
+
+
 def write_forecast_csv(path, table):
-    with open(path, "w", newline="") as fh:
-        fh.write("customer_id,p_alive,inactive_pred,expected,count_pred\n")
-        for i, cid in enumerate(table.customer_ids):
-            fh.write(f"{cid},{float(table.p_alive[i])!r},"
-                     f"{int(table.inactive_pred[i])},"
-                     f"{float(table.expected[i])!r},{int(table.count_pred[i])}\n")
+    write_csv(path, FORECAST_COLUMNS, [table.customer_ids, table.p_alive,
+                                       table.inactive_pred, table.expected,
+                                       table.count_pred])
 
 
 def read_forecast_csv(path):
-    import csv
-
-    ids, alive, inactive, expected, counts = [], [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"customer_id", "p_alive", "inactive_pred", "expected", "count_pred"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: missing forecast columns")
-        for row in reader:
-            ids.append(row["customer_id"])
-            alive.append(float(row["p_alive"]))
-            inactive.append(bool(int(row["inactive_pred"])))
-            expected.append(float(row["expected"]))
-            counts.append(int(row["count_pred"]))
+    cols = read_csv(path, FORECAST_COLUMNS, "forecast")
     return ForecastTable(
-        customer_ids=tuple(ids),
-        p_alive=np.asarray(alive),
-        inactive_pred=np.asarray(inactive, dtype=bool),
-        expected=np.asarray(expected),
-        count_pred=np.asarray(counts, dtype=np.int64),
+        customer_ids=cols["customer_id"],
+        p_alive=np.array(cols["p_alive"], dtype=float),
+        inactive_pred=np.array(cols["inactive_pred"], dtype=np.int64) != 0,
+        expected=np.array(cols["expected"], dtype=float),
+        count_pred=np.array(cols["count_pred"], dtype=np.int64),
     )

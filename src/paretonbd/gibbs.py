@@ -17,12 +17,12 @@ an unchecked kernel.  ``run_chain`` validates the cohort once, and
 exposure once per sweep.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
+from .data import read_csv, write_csv
 from .likelihood import RATE_FLOOR, _conditional_p_alive, conditional_p_alive
 
 # Guard against float underflow of Gamma draws with very small shapes; rates
@@ -348,35 +348,22 @@ def run_chain(table, cfg):
     )
 
 
+LABEL_COLUMNS = ("customer_id", "lambda", "mu")
+
+
 def write_labels_csv(path, customer_ids, lam, mu):
-    """Labels file: header customer_id,lambda,mu, one row per customer."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["customer_id", "lambda", "mu"])
-        for cid, l, m in zip(customer_ids, lam, mu):
-            writer.writerow([cid, repr(float(l)), repr(float(m))])
+    """Labels file: one (lambda, mu) row per customer."""
+    write_csv(path, LABEL_COLUMNS, [customer_ids, np.asarray(lam, dtype=float),
+                                    np.asarray(mu, dtype=float)])
 
 
 def read_labels_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["customer_id", "lambda", "mu"]:
-            raise ValueError(f"{path}: bad labels header {header!r}")
-        ids, lam, mu = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            ids.append(row[0])
-            lam.append(float(row[1]))
-            mu.append(float(row[2]))
-    return ids, np.asarray(lam), np.asarray(mu)
+    cols = read_csv(path, LABEL_COLUMNS, "labels")
+    return (list(cols["customer_id"]), np.array(cols["lambda"], dtype=float),
+            np.array(cols["mu"], dtype=float))
 
 
 def write_hyper_trace_csv(path, trace):
     """Thinned hyperparameter draws, one row per kept sweep."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "alpha", "s", "beta"])
-        for row in trace:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, ["r", "alpha", "s", "beta"],
+              np.asarray(trace, dtype=float).T)

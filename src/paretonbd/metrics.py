@@ -7,12 +7,12 @@ absolute error; two models can additionally be compared by consistency,
 the fraction of customers where both predict the same count.
 """
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv
 from .forecast import count_histogram
 
 # First count of the histogram's overflow bin ("7+").
@@ -199,15 +199,14 @@ def write_reports_json(path, reports, extra=None):
         fh.write("\n")
 
 
+REPORT_COLUMNS = ("model", "inactive_accuracy", "multi_accuracy", "mae",
+                  "consistency", "total_purchases")
+
+
 def write_reports_csv(path, reports):
     """Fixed-column metric table, one row per model."""
-    with open(path, "w", newline="") as fh:
-        fh.write("model,inactive_accuracy,multi_accuracy,mae,consistency,"
-                 "total_purchases\n")
-        for r in reports:
-            cons = "" if r.consistency is None else repr(r.consistency)
-            fh.write(f"{r.model},{r.inactive_accuracy!r},{r.multi_accuracy!r},"
-                     f"{r.mae!r},{cons},{r.total_purchases!r}\n")
+    write_csv(path, REPORT_COLUMNS,
+              [[getattr(r, name) for r in reports] for name in REPORT_COLUMNS])
 
 
 def write_correlations_csv(path, table):
@@ -216,10 +215,8 @@ def write_correlations_csv(path, table):
     Pearson over as few as three or four model rows is fragile; the printed
     values describe this run's models, not population effects.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("metric," + ",".join(table.labels) + "\n")
-        for name, row in zip(table.labels, table.matrix):
-            fh.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, ["metric", *table.labels],
+              [table.labels, *np.asarray(table.matrix, dtype=float).T])
 
 
 def write_histogram_csv(path, named_histograms):
@@ -228,10 +225,9 @@ def write_histogram_csv(path, named_histograms):
     if not names:
         raise ValueError("no histograms to write")
     labels = named_histograms[names[0]][0]
-    with open(path, "w", newline="") as fh:
-        fh.write("model," + ",".join(labels) + "\n")
-        for name in names:
-            lab, counts = named_histograms[name]
-            if list(lab) != list(labels):
-                raise ValueError("histogram bin labels disagree")
-            fh.write(name + "," + ",".join(str(int(c)) for c in counts) + "\n")
+    for name in names:
+        if list(named_histograms[name][0]) != list(labels):
+            raise ValueError("histogram bin labels disagree")
+    counts = np.array([named_histograms[name][1] for name in names],
+                      dtype=np.int64)
+    write_csv(path, ["model", *labels], [names, *counts.T])

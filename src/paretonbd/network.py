@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import write_csv
 from .likelihood import (RATE_FLOOR, _check_rates, _check_summary,
                          _grad_log_likelihood, _log_likelihood)
 # Unused here; kept in this namespace, where perfbench counts calls to them.
@@ -244,7 +245,7 @@ def _loss_and_output_grad(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
 
 
 def loss(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
-         ratio_interpretation="weighted_nll"):
+         ratio_interpretation=RATIO_INTERPRETATIONS[0]):
     """Mean per-datapoint loss of predictions (lam_hat, mu_hat) against labels."""
     x, t_x, T, lam, mu, lam_hat, mu_hat = (
         np.asarray(a, dtype=float) for a in (x, t_x, T, lam, mu, lam_hat, mu_hat))
@@ -259,7 +260,8 @@ def loss(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
 
 
 def loss_gradient(features, x, t_x, T, lam, mu, w, kind,
-                  ratio_interpretation="weighted_nll", spec=None, rng=None):
+                  ratio_interpretation=RATIO_INTERPRETATIONS[0], spec=None,
+                  rng=None):
     """Exact gradient of the mean loss w.r.t. every weight and bias.
 
     x, t_x, T, lam and mu must be valid float arrays; only the loss kind is
@@ -304,7 +306,7 @@ def loss_gradient(features, x, t_x, T, lam, mu, w, kind,
 
 
 def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
-          ratio_interpretation="weighted_nll"):
+          ratio_interpretation=RATIO_INTERPRETATIONS[0]):
     """Fit the surrogate on a CalibrationTable with MCMC labels.
 
     Features (x, t_x, T, covariates) are standardized by a scaler fit on the
@@ -432,7 +434,7 @@ def load_model(path):
 
 
 def write_history_csv(path, history):
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for epoch, train_loss, val_loss in history:
-            fh.write(f"{epoch},{float(train_loss)!r},{float(val_loss)!r}\n")
+    """One (epoch, train_loss, val_loss) row per epoch run."""
+    losses = np.array([h[1:] for h in history], dtype=float).reshape(-1, 2)
+    write_csv(path, ["epoch", "train_loss", "val_loss"],
+              [[h[0] for h in history], *losses.T])

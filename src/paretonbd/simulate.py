@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TransactionRecord, make_log
+from .data import DAYS_PER_WEEK, TransactionRecord, make_log
 from .gibbs import HyperParams
 
 # Default generating regime: mean purchase rate 0.05/week and mean dropout
@@ -59,7 +59,7 @@ def simulate_log(lam, mu, acquisition, end_date, seed, customer_ids=None):
         acq = acquisition[i]
         if acq > end_date:
             raise ValueError("acquisition after the end of the window")
-        window_weeks = (end_date - acq).days / 7.0
+        window_weeks = (end_date - acq).days / DAYS_PER_WEEK
         lifetime = rng.exponential(1.0 / mu[i]) if mu[i] > 0 else np.inf
         active = min(lifetime, window_weeks)
         records.append(_record(rng, cid, acq, 0.0))
@@ -72,7 +72,7 @@ def simulate_log(lam, mu, acquisition, end_date, seed, customer_ids=None):
 
 
 def _record(rng, cid, acq, t_weeks):
-    date = acq + datetime.timedelta(days=int(np.floor(t_weeks * 7.0)))
+    date = acq + datetime.timedelta(days=int(np.floor(t_weeks * DAYS_PER_WEEK)))
     spend = float(np.round(rng.gamma(2.0, 15.0), 2))
     units = int(rng.poisson(1.0)) + 1
     return TransactionRecord(cid, date, spend, units)
@@ -87,9 +87,9 @@ def make_cohort(n, seed, hyper=DEFAULT_HYPER, start=DEFAULT_START,
     """
     lam, mu = sample_population(hyper, n, seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    offsets = rng.integers(0, int(acquisition_weeks * 7), size=n)
+    offsets = rng.integers(0, int(acquisition_weeks * DAYS_PER_WEEK), size=n)
     acquisition = [start + datetime.timedelta(days=int(d)) for d in offsets]
-    end_date = start + datetime.timedelta(days=int(total_weeks * 7))
+    end_date = start + datetime.timedelta(days=int(total_weeks * DAYS_PER_WEEK))
     ids = [f"c{i:06d}" for i in range(n)]
     log = simulate_log(lam, mu, acquisition, end_date,
                        seed=np.random.SeedSequence((seed, 2)), customer_ids=ids)

@@ -5,6 +5,7 @@ cohort; the per-stage subcommands are then checked to reproduce its
 artifacts byte for byte from the same derived seeds.
 """
 
+import csv
 import dataclasses
 import datetime
 import hashlib
@@ -126,6 +127,14 @@ def test_run_pipeline_smoke(pipeline):
     # digests in the manifest match the files on disk
     for name in ("metrics.csv", "labels_train.csv"):
         assert manifest["artifacts"][name] == _sha256(out / name)
+    # every CSV artifact has \n line endings and rows as wide as its header
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == len([n for n in expected if n.endswith(".csv")])
+    for path in csvs:
+        assert b"\r" not in path.read_bytes(), path.name
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
     with open(out / "metrics.json") as fh:
         doc = json.load(fh)
     models = {rep["model"] for rep in doc["reports"]}
@@ -171,8 +180,9 @@ def test_stage_composition_reproduces_run(pipeline, tmp_path):
 
 
 def _hand_summaries(path):
+    # ids with a comma or a quote must be quoted in every CSV artifact
     table = data.CalibrationTable(
-        ["a", "b", "c"], [2, 3, 1], [30.0, 52.0, 52.0], [52.0, 52.0, 52.0],
+        ["a,b", 'q"x', "c"], [2, 3, 1], [30.0, 52.0, 52.0], [52.0, 52.0, 52.0],
         holdout_count=[0, 1, 3])
     table.to_csv(str(path))
     return table
@@ -225,10 +235,15 @@ def test_evaluate_cli_writes_tables(tmp_path, capsys):
 
 
 def test_missing_input_is_reported(tmp_path, capsys):
-    rc = cli.main(["fit-mcmc", "--summaries", str(tmp_path / "nope.csv"),
-                   "--out", str(tmp_path / "labels.csv")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error:")
+    summaries = tmp_path / "summaries.csv"
+    for content in (None, ""):  # a missing file, then an empty one
+        if content is not None:
+            summaries.write_text(content)
+        rc = cli.main(["fit-mcmc", "--summaries", str(summaries),
+                       "--out", str(tmp_path / "labels.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(summaries) in err
 
 
 def test_evaluate_rejects_malformed_forecast_arg(tmp_path, capsys):

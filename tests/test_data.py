@@ -1,13 +1,14 @@
 """Transaction-log ingestion, same-day merging, cohort splitting, and RFM
 summarization checked against hand day-count cases."""
 
+import csv
 import datetime
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretonbd import data
+from paretonbd import data, gibbs
 from paretonbd.data import TransactionRecord
 
 D = datetime.date
@@ -303,16 +304,85 @@ def test_table_features_layout():
 
 
 def test_table_round_trip_csv(tmp_path):
-    table = data.CalibrationTable(
-        ["a", "b"], [2, 0], [5.0, 0.0], [10.0, 8.0], [1, 0]
-    )
     path = tmp_path / "summary.csv"
-    table.to_csv(path)
-    back = data.CalibrationTable.from_csv(path)
+    for ids, covs in ((["a", "b"], ()), (["a,b", 'q"x'], ("total_spend",))):
+        table = data.CalibrationTable(
+            ids, [2, 0], [5.0, 0.0], [10.0, 8.0], [1, 0],
+            covariates=np.full((2, len(covs)), 0.1), covariate_names=covs
+        )
+        table.to_csv(path)
+        back = data.CalibrationTable.from_csv(path)
+        assert back.customer_ids == table.customer_ids
+        assert np.array_equal(back.x, table.x)
+        assert np.array_equal(back.t_x, table.t_x)
+        assert np.array_equal(back.T, table.T)
+        assert np.array_equal(back.holdout_count, table.holdout_count)
+        assert np.array_equal(back.covariates, table.covariates)
+        assert back.covariate_names == table.covariate_names
+
+
+def test_crlf_summaries_and_labels_read_back(tmp_path):
+    """Files written with csv.writer's default \\r\\n line endings, as
+    earlier versions wrote summaries and labels, read back exactly and
+    rewrite with \\n endings."""
+    table = data.CalibrationTable(
+        ["a,b", 'q"x'], [2, 0], [5.1, 0.0], [10.3, 8.25], [1, 0],
+        covariates=[[0.1], [7.0]], covariate_names=("total_spend",))
+    lam, mu = [0.05, 1e-86], [0.3, 0.007]
+    old_summaries, old_labels = tmp_path / "old_s.csv", tmp_path / "old_l.csv"
+    with open(old_summaries, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["customer_id", "x", "t_x", "T", "holdout_count",
+                         "cov_total_spend"])
+        for i, cid in enumerate(table.customer_ids):
+            writer.writerow([cid, int(table.x[i]), repr(float(table.t_x[i])),
+                             repr(float(table.T[i])),
+                             int(table.holdout_count[i]),
+                             repr(float(table.covariates[i, 0]))])
+    with open(old_labels, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["customer_id", "lambda", "mu"])
+        for cid, l, m in zip(table.customer_ids, lam, mu):
+            writer.writerow([cid, repr(l), repr(m)])
+    assert b"\r\n" in old_summaries.read_bytes()
+
+    back = data.CalibrationTable.from_csv(old_summaries)
     assert back.customer_ids == table.customer_ids
-    assert np.array_equal(back.x, table.x)
-    assert np.array_equal(back.t_x, table.t_x)
-    assert np.array_equal(back.holdout_count, table.holdout_count)
+    for name in ("x", "t_x", "T", "holdout_count", "covariates"):
+        assert np.array_equal(getattr(back, name), getattr(table, name))
+    assert back.covariate_names == table.covariate_names
+    ids, back_lam, back_mu = gibbs.read_labels_csv(old_labels)
+    assert ids == table.customer_ids
+    assert back_lam.tolist() == lam and back_mu.tolist() == mu
+
+    new_summaries, new_labels = tmp_path / "new_s.csv", tmp_path / "new_l.csv"
+    back.to_csv(new_summaries)
+    gibbs.write_labels_csv(new_labels, ids, back_lam, back_mu)
+    for old, new in ((old_summaries, new_summaries), (old_labels, new_labels)):
+        assert old.read_bytes().replace(b"\r\n", b"\n") == new.read_bytes()
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "empty labels file"),
+    ("\n", "empty labels file"),
+    ("customer_id,lambda\na,0.1\n", r"missing labels columns \['mu'\]"),
+    ("customer_id,lambda,mu,mu\na,0.1,0.2,0.3\n", "repeated labels column"),
+    ("customer_id,lambda,mu\na,0.1,0.2\nb,0.1\n", "labels row 2 has 2 fields"),
+], ids=["empty", "blank", "missing", "repeated", "short-row"])
+def test_read_csv_rejects_malformed_files(tmp_path, content, message):
+    path = tmp_path / "labels.csv"
+    path.write_text(content)
+    with pytest.raises(ValueError, match=message) as err:
+        gibbs.read_labels_csv(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_empty_summaries_file_names_the_file(tmp_path):
+    path = tmp_path / "summary.csv"
+    path.write_text("")
+    with pytest.raises(ValueError) as err:
+        data.CalibrationTable.from_csv(path)
+    assert str(err.value) == f"{path}: empty summaries file"
 
 
 @pytest.mark.parametrize("columns, kwargs, message", [

@@ -23,9 +23,9 @@ from paretonbd.likelihood import (
 )
 
 
-def small_table():
+def small_table(ids=("a", "b", "c")):
     return CalibrationTable(
-        ["a", "b", "c"], [2, 0, 5], [30.0, 0.0, 40.0], [52.0, 52.0, 52.0],
+        ids, [2, 0, 5], [30.0, 0.0, 40.0], [52.0, 52.0, 52.0],
         [1, 0, 3],
     )
 
@@ -303,18 +303,19 @@ def test_count_histogram_interior_bins():
 
 
 def test_forecast_csv_round_trip(tmp_path):
-    table = small_table()
     lam = np.array([0.1, 1e-86, 0.3])
     mu = np.array([0.02, 0.04, 0.01])
-    fc = make_forecast(table, lam, mu, horizon=26.0)
     path = tmp_path / "forecast.csv"
-    write_forecast_csv(path, fc)
-    back = read_forecast_csv(path)
-    assert back.customer_ids == fc.customer_ids
-    assert np.array_equal(back.p_alive, fc.p_alive)
-    assert np.array_equal(back.expected, fc.expected)
-    assert np.array_equal(back.inactive_pred, fc.inactive_pred)
-    assert np.array_equal(back.count_pred, fc.count_pred)
+    # ids with a comma or a quote must be quoted
+    for ids in (("a", "b", "c"), ("a,b", 'q"x', "c")):
+        fc = make_forecast(small_table(ids), lam, mu, horizon=26.0)
+        write_forecast_csv(path, fc)
+        back = read_forecast_csv(path)
+        assert back.customer_ids == fc.customer_ids
+        assert np.array_equal(back.p_alive, fc.p_alive)
+        assert np.array_equal(back.expected, fc.expected)
+        assert np.array_equal(back.inactive_pred, fc.inactive_pred)
+        assert np.array_equal(back.count_pred, fc.count_pred)
 
 
 def test_forecast_csv_header(tmp_path):

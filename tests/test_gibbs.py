@@ -376,12 +376,12 @@ def test_chain_config_validation():
 
 
 def test_labels_csv_round_trip(tmp_path):
-    ids = ["a", "b", "c"]
     lam = np.array([0.05, 0.002, 1.25])
     mu = np.array([0.01, 0.3, 0.007])
     path = tmp_path / "labels.csv"
-    gibbs.write_labels_csv(path, ids, lam, mu)
-    back_ids, back_lam, back_mu = gibbs.read_labels_csv(path)
-    assert back_ids == ids
-    assert np.array_equal(back_lam, lam)
-    assert np.array_equal(back_mu, mu)
+    for ids in (["a", "b", "c"], ["a,b", 'q"x', "c"]):
+        gibbs.write_labels_csv(path, ids, lam, mu)
+        back_ids, back_lam, back_mu = gibbs.read_labels_csv(path)
+        assert back_ids == ids
+        assert np.array_equal(back_lam, lam)
+        assert np.array_equal(back_mu, mu)
