@@ -11,10 +11,13 @@ hyperparameters.  All per-customer draws are vectorized; a fixed seed gives
 bit-identical output.
 
 The public conditional draws (``draw_alive``, ``draw_dropout_time``,
-``draw_lambda``, ``draw_mu``) validate their inputs on every call, then run
-an unchecked kernel.  ``run_chain`` validates the cohort once, and
-``gibbs_sweep`` calls the kernels directly, computing lam + mu and the
-exposure once per sweep.
+``draw_lambda``, ``draw_mu``) and ``update_hyperparams`` validate their
+inputs on every call, then run an unchecked kernel.  ``run_chain`` validates
+the cohort once, and ``gibbs_sweep`` calls the kernels directly, computing
+lam + mu once per sweep.  The sweep draws a dropout time for every customer
+and selects the exposure with ``np.where`` rather than gathering the dead:
+at t_x == T the kernel returns exactly T, and the alive keep T anyway, so
+the draws are the same bits without the boolean gathers.
 """
 
 from dataclasses import dataclass
@@ -165,7 +168,8 @@ def _slice(logpdf, x0, rng, lower=-np.inf, width=1.0, max_steps=200):
         hi += width
         hi_steps -= 1
     while True:
-        x1 = rng.uniform(lo, hi)
+        # the arithmetic of rng.uniform(lo, hi), without its call overhead
+        x1 = lo + (hi - lo) * rng.random()
         if x1 > lower and logpdf(x1) > log_y:
             return x1
         if x1 < x0:
@@ -174,8 +178,8 @@ def _slice(logpdf, x0, rng, lower=-np.inf, width=1.0, max_steps=200):
             hi = x1
 
 
-def _population_scale_move(rates, rate_hyper, weighted_exposure, count_term,
-                           a0, b0, rng):
+def _population_scale_move(rate_hyper, weighted_exposure, count_term, a0, b0,
+                           rng):
     """Joint rescale of a rate population and its Gamma rate hyperparameter.
 
     Multiplying every individual rate by 1/c and the hyperparameter by c is
@@ -241,18 +245,25 @@ def update_hyperparams(lams, mus, hyper, cfg, rng):
     mus = np.asarray(mus, dtype=float)
     if lams.size == 0 or np.any(lams <= 0) or np.any(mus <= 0):
         raise ValueError("rate lists must be nonempty and positive")
+    return _update_hyperparams(lams, mus, hyper.r, hyper.s, cfg, rng)
+
+
+def _update_hyperparams(lams, mus, r, s, cfg, rng):
+    """Unchecked kernel of update_hyperparams, from the current shapes r and
+    s (the rates do not enter the update), for nonempty positive float
+    arrays."""
     a0, b0 = cfg.hyper_prior
     n = lams.size
 
-    r = _slice(
-        _shape_marginal(n, np.sum(np.log(lams)), np.sum(lams), a0, b0),
-        hyper.r, rng, lower=0.0)
-    alpha = rng.gamma(a0 + n * r, 1.0 / (b0 + np.sum(lams)))
+    sum_lam = lams.sum()
+    r = _slice(_shape_marginal(n, np.log(lams).sum(), sum_lam, a0, b0),
+               r, rng, lower=0.0)
+    alpha = rng.gamma(a0 + n * r, 1.0 / (b0 + sum_lam))
 
-    s = _slice(
-        _shape_marginal(n, np.sum(np.log(mus)), np.sum(mus), a0, b0),
-        hyper.s, rng, lower=0.0)
-    beta = rng.gamma(a0 + n * s, 1.0 / (b0 + np.sum(mus)))
+    sum_mu = mus.sum()
+    s = _slice(_shape_marginal(n, np.log(mus).sum(), sum_mu, a0, b0),
+               s, rng, lower=0.0)
+    beta = rng.gamma(a0 + n * s, 1.0 / (b0 + sum_mu))
 
     return HyperParams(r=r, alpha=alpha, s=s, beta=beta)
 
@@ -271,15 +282,11 @@ def gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng):
     n = x.shape[0]
     theta = lam + mu
     alive = rng.random(n) < _conditional_p_alive(t_x, T, lam, mu, theta)
-    u_tau = rng.random(n)
-    # exposure: T for the alive, the dropout time tau for the dead
-    exposure = T.copy()
-    dead = ~alive
-    if np.any(dead):
-        # dead draws only occur where t_x < T (the conditional alive
-        # probability is exactly 1 at t_x == T)
-        exposure[dead] = _dropout_time(
-            t_x[dead], T[dead], theta[dead], u_tau[dead])
+    # exposure: T for the alive, the dropout time tau for the dead.  tau is
+    # drawn for everyone; at t_x == T, where nobody is drawn dead (the
+    # conditional alive probability is exactly 1), it is exactly T and
+    # raises no warning.
+    exposure = np.where(alive, T, _dropout_time(t_x, T, theta, rng.random(n)))
     lam = _draw_lambda(x, exposure, hyper, rng)
     mu = _draw_mu(alive, exposure, hyper, rng)
 
@@ -288,17 +295,14 @@ def gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng):
 
     a0, b0 = cfg.hyper_prior
     c_lam = _population_scale_move(
-        lam, hyper.alpha, float(np.sum(lam * exposure)), float(np.sum(x)),
+        hyper.alpha, float((lam * exposure).sum()), float(x.sum()),
         a0, b0, rng)
     c_mu = _population_scale_move(
-        mu, hyper.beta, float(np.sum(mu * exposure)), float(np.sum(dead)),
+        hyper.beta, float((mu * exposure).sum()), float(n - alive.sum()),
         a0, b0, rng)
     lam = np.maximum(lam / c_lam, _DRAW_FLOOR)
     mu = np.maximum(mu / c_mu, _DRAW_FLOOR)
-    hyper = HyperParams(hyper.r, hyper.alpha * c_lam,
-                        hyper.s, hyper.beta * c_mu)
-    hyper = update_hyperparams(lam, mu, hyper, cfg, rng)
-    return lam, mu, hyper
+    return lam, mu, _update_hyperparams(lam, mu, hyper.r, hyper.s, cfg, rng)
 
 
 def run_chain(table, cfg):

@@ -27,11 +27,15 @@ backpropagation goes on from there.  The forward pass computes each hidden
 sigmoid in place as 1 / (1 + exp(-z)) with numpy's vectorized exp, within a
 few ulp of ``scipy.special.expit`` at a fraction of its per-call cost; the
 backward pass sums each bias gradient over the batch as one BLAS product
-with a vector of ones.  Every weight and bias is a view into one
+with a vector of ones.  Both passes work in place on fresh arrays (bias
+adds, the output exp, the backward products), with the bits of the
+out-of-place expressions.  Every weight and bias is a view into one
 float64 buffer, ``NetworkWeights.flat``, which Adam updates whole, over
 shuffled mini-batches with optional early stopping on a validation slice.
 ``train`` and ``loss`` validate their inputs once, at entry; ``loss_gradient``
-checks only the loss kind and trusts its arrays.
+checks only the loss kind and trusts its arrays.  For the ratio kinds,
+``train`` computes the label log-likelihood once per call, as a column
+sliced with each batch and the validation rows (``ll_label``).
 """
 
 import json
@@ -177,7 +181,8 @@ def _forward_cache(features, w, masks=None):
     inputs = [a]
     sigmoids = []
     for layer in range(hidden):
-        z = inputs[-1] @ w.weights[layer] + w.biases[layer]
+        z = inputs[-1] @ w.weights[layer]
+        z += w.biases[layer]
         # sigmoid 1 / (1 + exp(-z)), in place on the fresh z
         np.negative(z, out=z)
         np.exp(z, out=z)
@@ -187,9 +192,10 @@ def _forward_cache(features, w, masks=None):
         if masks is not None:
             act = act * masks[layer]
         inputs.append(act)
-    pre = inputs[-1] @ w.weights[-1] + w.biases[-1]
-    clamped = np.minimum(np.maximum(pre, -PRE_CLAMP), PRE_CLAMP)
-    out = np.exp(clamped)
+    pre = inputs[-1] @ w.weights[-1]
+    pre += w.biases[-1]
+    out = np.minimum(np.maximum(pre, -PRE_CLAMP), PRE_CLAMP)
+    np.exp(out, out=out)
     return inputs, sigmoids, pre, out
 
 
@@ -215,8 +221,11 @@ def _check_labels(lam, mu):
 
 
 def _loss_and_output_grad(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
-                          ratio_interpretation):
-    """(pointwise loss, d/d lam_hat, d/d mu_hat) for validated float arrays."""
+                          ratio_interpretation, ll_label=None):
+    """(pointwise loss, d/d lam_hat, d/d mu_hat) for validated float arrays.
+
+    The ratio kinds use ll_label, the label log-likelihood, when given.
+    """
     head = kind.split("_")[0]
     e_lam, e_mu = lam_hat - lam, mu_hat - mu
     if kind.endswith("mse"):
@@ -232,7 +241,9 @@ def _loss_and_output_grad(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
     if head == "nll":
         base, scale = -ll_hat, -1.0
     else:
-        diff = ll_hat - _log_likelihood(x, t_x, T, lam, mu)[0]
+        if ll_label is None:
+            ll_label = _log_likelihood(x, t_x, T, lam, mu)[0]
+        diff = ll_hat - ll_label
         if ratio_interpretation == "weighted_nll":
             base = -np.exp(np.minimum(diff, RATIO_EXP_CLAMP))
             scale = np.where(diff < RATIO_EXP_CLAMP, base, 0.0)
@@ -261,13 +272,15 @@ def loss(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
 
 def loss_gradient(features, x, t_x, T, lam, mu, w, kind,
                   ratio_interpretation=RATIO_INTERPRETATIONS[0], spec=None,
-                  rng=None):
+                  rng=None, ll_label=None):
     """Exact gradient of the mean loss w.r.t. every weight and bias.
 
     x, t_x, T, lam and mu must be valid float arrays; only the loss kind is
     checked here.  When spec/rng are given, dropout masks are drawn and
     shared between the internal forward pass and the backward pass.
-    Returns (grad_weights, grad_biases, batch_loss).
+    ll_label is the optional precomputed label log-likelihood of
+    ``_loss_and_output_grad``.  Returns (grad_weights, grad_biases,
+    batch_loss).
     """
     _check_kind(kind, ratio_interpretation)
     features = np.atleast_2d(np.asarray(features, dtype=float))
@@ -283,25 +296,29 @@ def loss_gradient(features, x, t_x, T, lam, mu, w, kind,
     inputs, sigmoids, pre, out = _forward_cache(features, w, masks)
     lam_hat, mu_hat = out[:, 0], out[:, 1]
     pointwise, g_lam, g_mu = _loss_and_output_grad(
-        x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation)
-    batch_loss = float(np.mean(pointwise))
+        x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation,
+        ll_label)
+    batch_loss = float(pointwise.sum() / n)  # np.mean's arithmetic
     # through the clamped exp output transform (mean over the batch)
-    d_pre = np.column_stack([g_lam * lam_hat, g_mu * mu_hat]) / n
-    d_pre *= (np.abs(pre) < PRE_CLAMP)
+    delta = np.empty((n, 2))
+    np.multiply(g_lam, lam_hat, out=delta[:, 0])
+    np.multiply(g_mu, mu_hat, out=delta[:, 1])
+    delta /= n
+    delta *= (np.abs(pre) < PRE_CLAMP)
 
     grad_w = [None] * len(w.weights)
     grad_b = [None] * len(w.biases)
     ones = np.ones(n)
-    delta = d_pre
     for layer in range(len(w.weights) - 1, -1, -1):
         grad_w[layer] = inputs[layer].T @ delta
         grad_b[layer] = ones @ delta  # column sums as one BLAS gemv
         if layer > 0:
-            da = delta @ w.weights[layer].T
+            delta = delta @ w.weights[layer].T
             if masks is not None:
-                da = da * masks[layer - 1]
+                delta *= masks[layer - 1]
             act = sigmoids[layer - 1]
-            delta = da * act * (1.0 - act)
+            delta *= act
+            delta *= 1.0 - act
     return grad_w, grad_b, batch_loss
 
 
@@ -341,8 +358,13 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
     if train_idx.size < 1:
         raise ValueError("validation split leaves no training rows")
 
-    columns = (feats, table.x.astype(float), table.t_x, table.T, lam_labels,
-               mu_labels)
+    columns = [feats, table.x.astype(float), table.t_x, table.T, lam_labels,
+               mu_labels]
+    ratio = kind.startswith("ratio")
+    if ratio:
+        # the label log-likelihood is constant: compute it once, as a
+        # seventh column sliced with every batch and the validation rows
+        columns.append(_log_likelihood(*columns[1:])[0])
     val_feats, *val_rows = (a[val_idx] for a in columns)
     adam_m = np.zeros_like(w.flat)
     adam_v = np.zeros_like(w.flat)
@@ -359,8 +381,8 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
         for lo in range(0, perm.size, cfg.batch_size):
             batch = [a[lo:lo + cfg.batch_size] for a in shuffled]
             grad_w, grad_b, batch_loss = loss_gradient(
-                *batch, w, kind, ratio_interpretation=ratio_interpretation,
-                spec=spec, rng=rng)
+                *batch[:6], w, kind, ratio_interpretation=ratio_interpretation,
+                spec=spec, rng=rng, ll_label=batch[6] if ratio else None)
             epoch_loss += batch_loss * len(batch[0])
             step += 1
             g = np.concatenate([a.ravel() for a in grad_w + grad_b])
@@ -377,7 +399,8 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
         if n_val > 0:
             lam_v, mu_v = forward(val_feats, w)
             val_loss = float(np.mean(_loss_and_output_grad(
-                *val_rows, lam_v, mu_v, kind, ratio_interpretation)[0]))
+                *val_rows[:5], lam_v, mu_v, kind, ratio_interpretation,
+                ll_label=val_rows[5] if ratio else None)[0]))
         history.append((epoch, train_loss, val_loss))
 
         if n_val > 0 and cfg.early_stop_patience > 0:

@@ -314,3 +314,77 @@ def test_acceptance_rerun_byte_identical(tmp_path):
     assert len(names) == 3
     for name in names + ["metrics.json"]:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+# --------------------------------------------------------------------------
+# 10. artifacts keep their pinned bits
+
+# Vectorized math differs across numpy builds and the SIMD targets they
+# dispatch to, so the digests below hold for this numpy version on these
+# targets only; elsewhere the test skips.  A change that moves the bits on
+# purpose records the new digests here and says so.
+PINNED_NUMPY = "2.4.6"
+PINNED_SIMD = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+
+# First 16 hex digits of each MANIFEST.json sha256 of pinned_artifacts().
+PINNED_DIGESTS = {
+    "train_summary.csv": "06fb00da8eb15945",
+    "test_summary.csv": "89a75cba129a1bbf",
+    "labels_train.csv": "5a0487c83c6fdadd",
+    "labels_test.csv": "fb6fe3768e54c64c",
+    "model_mse.json": "9a5f5aa58554a65c",
+    "history_mse.csv": "6783078d96458443",
+    "model_mae.json": "5628d07faa1c0302",
+    "history_mae.csv": "2685d844e6d1c175",
+    "model_nll.json": "90168774a40bf3c7",
+    "history_nll.csv": "19631aecd3bfaa28",
+    "model_nll_mse.json": "cedfcd1f87cb7102",
+    "history_nll_mse.csv": "b5c43c2e632dfed7",
+    "model_nll_mae.json": "8bcf23ef8d6e9772",
+    "history_nll_mae.csv": "b74ef86fb39eb26e",
+    "model_ratio.json": "dd1c7469c2fd6ed0",
+    "history_ratio.csv": "6e930c5ce902405a",
+    "model_ratio_mse.json": "e345d0ef323938f1",
+    "history_ratio_mse.csv": "853fa36f96bdc05d",
+    "model_ratio_mae.json": "fd4fc98ac156ef56",
+    "history_ratio_mae.csv": "e5e9afc48a07ee0a",
+    "forecast_pareto_nbd.csv": "4400218c434a3726",
+    "forecast_nn_mse.csv": "97360e6687f3529a",
+    "forecast_nn_mae.csv": "edee8f2fac9b7c09",
+    "forecast_nn_nll.csv": "ffeffab98ff60fa0",
+    "forecast_nn_nll_mse.csv": "e2aebf974a6fd09a",
+    "forecast_nn_nll_mae.csv": "c8e4352010bd08ae",
+    "forecast_nn_ratio.csv": "a2711a6d6929852b",
+    "forecast_nn_ratio_mse.csv": "cb9e83b899c3e738",
+    "forecast_nn_ratio_mae.csv": "b4dc0b5c1719b8ce",
+    "metrics.csv": "d5757b56d58511d2",
+    "metrics.json": "d21b187787a70e24",
+    "histograms.csv": "6b53a0fa56ef87c9",
+    "correlations.csv": "7d9000413d516d10",
+}
+
+
+def pinned_artifacts(tmp_path):
+    """MANIFEST.json artifact digests of a short all-losses run."""
+    path = tmp_path / "transactions.csv"
+    data.write_transactions_csv(str(path), simulate.make_cohort(1000, 14).log)
+    cfg = ExperimentConfig(dataset=str(path), out=str(tmp_path / "out"),
+                           seed=3, sweeps=500, burn_in=150, epochs=60,
+                           batch_size=64, patience=5)
+    result = run_experiment(cfg)
+    assert result.status == 0
+    return {name: digest[:16]
+            for name, digest in result.manifest["artifacts"].items()}
+
+
+def test_acceptance_artifacts_match_pinned_digests(tmp_path):
+    if np.__version__ != PINNED_NUMPY:
+        pytest.skip(f"digests pinned under numpy {PINNED_NUMPY}, "
+                    f"not {np.__version__}")
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    simd = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    if simd != PINNED_SIMD:
+        pytest.skip(f"digests pinned on SIMD targets {PINNED_SIMD}, "
+                    f"not {simd}")
+    assert pinned_artifacts(tmp_path) == PINNED_DIGESTS

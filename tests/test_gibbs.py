@@ -331,10 +331,10 @@ def reference_sweep(x, t_x, T, lam, mu, hyper, cfg, rng):
     mu = gibbs.draw_mu(alive, T, tau, hyper, rng)
     a0, b0 = cfg.hyper_prior
     c_lam = gibbs._population_scale_move(
-        lam, hyper.alpha, float(np.sum(lam * exposure)), float(np.sum(x)),
+        hyper.alpha, float(np.sum(lam * exposure)), float(np.sum(x)),
         a0, b0, rng)
     c_mu = gibbs._population_scale_move(
-        mu, hyper.beta, float(np.sum(mu * exposure)), float(np.sum(dead)),
+        hyper.beta, float(np.sum(mu * exposure)), float(np.sum(dead)),
         a0, b0, rng)
     lam = np.maximum(lam / c_lam, gibbs._DRAW_FLOOR)
     mu = np.maximum(mu / c_mu, gibbs._DRAW_FLOOR)
@@ -343,25 +343,74 @@ def reference_sweep(x, t_x, T, lam, mu, hyper, cfg, rng):
     return lam, mu, gibbs.update_hyperparams(lam, mu, hyper, cfg, rng)
 
 
-def test_sweep_equals_public_draw_composition_bit_for_bit():
-    cohort = simulate.make_cohort(300, seed=21)
+def cohort_summary(n, seed):
+    """(x, t_x, T) float arrays of a simulated cohort, all in-sample."""
+    cohort = simulate.make_cohort(n, seed=seed)
     end = max(r.date for r in cohort.log.records)
     split = data.CohortSplit(tuple(cohort.customer_ids), (),
                              end + datetime.timedelta(days=1), 1.0)
     table = data.summarize_rfm(cohort.log, split, cohort.customer_ids)
-    x, t_x, T = (np.asarray(a, dtype=float)
+    return tuple(np.asarray(a, dtype=float)
                  for a in (table.x, table.t_x, table.T))
+
+
+def assert_sweeps_match_reference(x, t_x, T, sweeps, seed):
     cfg = ChainConfig()
     start = ((x + 1.0) / T, 1.0 / T, HyperParams(1.0, 1.0, 1.0, 1.0))
     got, want = start, start
-    rng_got, rng_want = np.random.default_rng(4), np.random.default_rng(4)
-    for _ in range(5):
+    rng_got, rng_want = (np.random.default_rng(seed),
+                         np.random.default_rng(seed))
+    for _ in range(sweeps):
         got = gibbs.gibbs_sweep(x, t_x, T, *got, cfg, rng_got)
         want = reference_sweep(x, t_x, T, *want, cfg, rng_want)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
     assert rng_got.random() == rng_want.random()
+
+
+def test_sweep_equals_public_draw_composition_bit_for_bit():
+    assert_sweeps_match_reference(*cohort_summary(300, 21), sweeps=5, seed=4)
+
+
+def test_sweep_equals_reference_over_many_sweeps_at_boundaries():
+    # customers who bought on the last day (t_x == T, never drawn dead) and
+    # customers with no repeat purchase must both leave the sweep's bits
+    # equal to the public-draw composition, sweep after sweep
+    x, t_x, T = cohort_summary(200, 8)
+    buyers = np.flatnonzero(x > 0)[:20]
+    t_x[buyers] = T[buyers]
+    assert np.any(x == 0) and np.any((t_x == T) & (x > 0))
+    assert_sweeps_match_reference(x, t_x, T, sweeps=25, seed=19)
+
+
+def test_dropout_time_kernel_returns_T_on_empty_window():
+    # the sweep evaluates the kernel for every customer and keeps T for the
+    # alive, so at t_x == T it must give exactly T, with no float warning
+    T = np.array([1e-9, 0.5, 10.0, 39.0, 78.0, 1e3])
+    theta = np.array([2.0 * np.finfo(float).tiny, 1e-12, 0.05, 1.0, 30.0,
+                      1e6])
+    for u in (0.0, 0.25, 0.5, 0.999, 1.0 - 2.0 ** -53):
+        with np.errstate(all="raise"):
+            got = gibbs._dropout_time(T, T, theta, np.full(T.size, u))
+        assert np.array_equal(got, T)
+
+
+def test_update_hyperparams_kernel_equals_checked_call():
+    rng = np.random.default_rng(6)
+    lams = rng.gamma(0.7, 1.0 / 5.0, size=300)
+    mus = rng.gamma(0.4, 1.0 / 12.0, size=300)
+    hyper = HyperParams(0.6, 4.0, 0.5, 9.0)
+    cfg = ChainConfig()
+    rng_checked, rng_kernel = (np.random.default_rng(40),
+                               np.random.default_rng(40))
+    for _ in range(10):
+        want = gibbs.update_hyperparams(lams, mus, hyper, cfg, rng_checked)
+        got = gibbs._update_hyperparams(lams, mus, hyper.r, hyper.s, cfg,
+                                        rng_kernel)
+        assert got == want
+        hyper = want
+    assert rng_checked.random() == rng_kernel.random()
 
 
 def test_chain_config_validation():

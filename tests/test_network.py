@@ -280,6 +280,36 @@ def test_loss_kernel_matches_public_likelihood(kind, ratio_interpretation):
     assert_allclose(grad_w[-1], hidden.T @ d_pre, rtol=1e-12)
 
 
+@pytest.mark.parametrize("ratio_interpretation", RATIO_INTERPRETATIONS)
+@pytest.mark.parametrize("kind", ["ratio", "ratio_mse", "ratio_mae"])
+def test_precomputed_label_likelihood_changes_no_bits(kind,
+                                                      ratio_interpretation):
+    spec = NetworkSpec(input_dim=3, hidden_layers=2, hidden_width=4)
+    w = init_weights(spec, seed=31)
+    feats, x, t_x, T, lam, mu = micro_batch(32, seed=32)
+    # train slices one precomputed column; compute it on a superset here
+    ll_label = network._log_likelihood(
+        *(np.concatenate([a, a[::-1]]) for a in (x, t_x, T, lam, mu)))[0][:32]
+    lam_hat, mu_hat = forward(feats, w)
+    want = network._loss_and_output_grad(
+        x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation)
+    got = network._loss_and_output_grad(
+        x, t_x, T, lam, mu, lam_hat, mu_hat, kind, ratio_interpretation,
+        ll_label=ll_label)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+    rng_want, rng_got = np.random.default_rng(5), np.random.default_rng(5)
+    want = loss_gradient(feats, x, t_x, T, lam, mu, w, kind,
+                         ratio_interpretation, spec=spec, rng=rng_want)
+    got = loss_gradient(feats, x, t_x, T, lam, mu, w, kind,
+                        ratio_interpretation, spec=spec, rng=rng_got,
+                        ll_label=ll_label)
+    assert got[2] == want[2]
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert np.array_equal(a, b)
+
+
 def test_gradient_zero_at_reachable_mse_optimum():
     spec = NetworkSpec(input_dim=3, hidden_layers=2, hidden_width=4, dropout_p=0.0)
     w = init_weights(spec, seed=10)
