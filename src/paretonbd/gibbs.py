@@ -10,14 +10,24 @@ Sweep order: per customer (z, tau), then lam_i, then mu_i, then the four
 hyperparameters.  All per-customer draws are vectorized; a fixed seed gives
 bit-identical output.
 
+The conjugate rate draws go through one kernel, ``_gamma``.  A Gamma shape
+below 1 costs numpy about twice as much per draw as a shape above 1, and
+those shapes are common: lam for customers with x = 0 when r < 1, mu for the
+alive when s < 1.  So the kernel draws Gamma(a + 1) for such a shape and
+multiplies it by U**(1/a), computed as exp(log1p(-u) / a) from one uniform
+u per boosted entry, which is again Gamma(a) (Marsaglia & Tsang 2000).
+Shapes of 1 and above are drawn directly.
+
 The public conditional draws (``draw_alive``, ``draw_dropout_time``,
 ``draw_lambda``, ``draw_mu``) and ``update_hyperparams`` validate their
 inputs on every call, then run an unchecked kernel.  ``run_chain`` validates
-the cohort once, and ``gibbs_sweep`` calls the kernels directly, computing
-lam + mu once per sweep.  The sweep draws a dropout time for every customer
-and selects the exposure with ``np.where`` rather than gathering the dead:
-at t_x == T the kernel returns exactly T, and the alive keep T anyway, so
-the draws are the same bits without the boolean gathers.
+the cohort and computes the window T - t_x once.  ``gibbs_sweep`` calls the
+kernels directly and computes lam + mu and the log survival factor
+-(lam + mu) * (T - t_x) once per sweep, for both the alive share and the
+dropout time.  The sweep draws a dropout time for every customer and
+selects the exposure with ``np.where`` rather than gathering the dead: at
+t_x == T the kernel returns exactly T, and the alive keep T anyway, so the
+draws are the same bits without the boolean gathers.
 """
 
 from dataclasses import dataclass
@@ -106,24 +116,45 @@ def draw_dropout_time(t_x, T, lam, mu, u):
     return _dropout_time(t_x, T, theta, u)
 
 
-def _dropout_time(t_x, T, theta, u):
-    """Unchecked kernel of draw_dropout_time, for theta = lam + mu."""
+def _dropout_time(t_x, T, theta, u, decay=None):
+    """Unchecked kernel of draw_dropout_time, for theta = lam + mu; decay is
+    -theta * (T - t_x), computed here unless the caller passes it."""
+    if decay is None:
+        decay = -theta * (T - t_x)
     # 1 - exp(-theta*(T-t_x)) via expm1, exact for small theta
-    span_mass = -np.expm1(-theta * (T - t_x))
+    span_mass = -np.expm1(decay)
     return t_x - np.log1p(-u * span_mass) / theta
+
+
+def _gamma(shape, scale, rng):
+    """Gamma(shape, scale) draws for 1-d float arrays of one size.
+
+    Unchecked: every shape must be positive.  Each shape a < 1 is drawn as
+    Gamma(a + 1) * U**(1/a), with one uniform per such entry, in index
+    order, after the Gamma draws.
+    """
+    small = shape < 1.0
+    draw = rng.standard_gamma(shape + small)
+    idx = np.flatnonzero(small)
+    boost = np.exp(np.log1p(-rng.random(idx.size)) / shape[idx])
+    draw[idx] *= boost
+    draw *= scale
+    return draw
 
 
 def draw_lambda(x, exposure, hyper, rng):
     """Conjugate purchase-rate draw: Gamma(r + x, rate alpha + exposure)."""
-    exposure = np.asarray(exposure, dtype=float)
+    x, exposure = np.broadcast_arrays(np.asarray(x, dtype=float),
+                                      np.asarray(exposure, dtype=float))
     if np.any(exposure <= 0):
         raise ValueError("exposure must be positive")
-    return _draw_lambda(np.asarray(x), exposure, hyper, rng)
+    return _draw_lambda(x.ravel(), exposure.ravel(), hyper,
+                        rng).reshape(x.shape)[()]
 
 
 def _draw_lambda(x, exposure, hyper, rng):
-    """Unchecked kernel of draw_lambda."""
-    draw = rng.gamma(hyper.r + x, 1.0 / (hyper.alpha + exposure))
+    """Unchecked kernel of draw_lambda, for float arrays of one 1-d shape."""
+    draw = _gamma(hyper.r + x, 1.0 / (hyper.alpha + exposure), rng)
     return np.maximum(draw, _DRAW_FLOOR)
 
 
@@ -142,14 +173,16 @@ def draw_mu(alive, T, tau, hyper, rng):
     tau = np.asarray(tau, dtype=float)
     if np.any(~alive & ~((tau > 0) & np.isfinite(tau))):
         raise ValueError("dead customers need a finite positive tau")
-    return _draw_mu(alive, np.where(alive, T, tau), hyper, rng)
+    alive, exposure = np.broadcast_arrays(alive, np.where(alive, T, tau))
+    return _draw_mu(alive.ravel(), exposure.ravel(), hyper,
+                    rng).reshape(alive.shape)[()]
 
 
 def _draw_mu(alive, exposure, hyper, rng):
-    """Unchecked kernel of draw_mu; exposure is T for the alive and tau for
-    the dead."""
+    """Unchecked kernel of draw_mu, for arrays of one 1-d shape; exposure is
+    T for the alive and tau for the dead."""
     shape = np.where(alive, hyper.s, hyper.s + 1.0)
-    draw = rng.gamma(shape, 1.0 / (hyper.beta + exposure))
+    draw = _gamma(shape, 1.0 / (hyper.beta + exposure), rng)
     return np.maximum(draw, _DRAW_FLOOR)
 
 
@@ -268,25 +301,30 @@ def _update_hyperparams(lams, mus, r, s, cfg, rng):
     return HyperParams(r=r, alpha=alpha, s=s, beta=beta)
 
 
-def gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng):
+def gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng, span=None):
     """One systematic scan: (z, tau) per customer, lam, mu, hyperparameters.
 
     Returns the new (lam, mu, hyper).  The inputs are trusted: float arrays
     of a validated summary with T > 0, and positive rates, as run_chain
-    passes them.  With cfg.fixed_hyper set, the population-level moves are
-    skipped and hyper passes through unchanged.
+    passes them, with span = T - t_x when the caller has it.  With
+    cfg.fixed_hyper set, the population-level moves are skipped and hyper
+    passes through unchanged.
     The hyperparameter stage pairs each blocked (shape, rate) draw with a
     population scale move, which decorrelates the rates from their
     hyperparameter far faster than the one-at-a-time conditionals alone.
     """
     n = x.shape[0]
+    if span is None:
+        span = T - t_x
     theta = lam + mu
-    alive = rng.random(n) < _conditional_p_alive(t_x, T, lam, mu, theta)
+    decay = -theta * span
+    alive = rng.random(n) < _conditional_p_alive(lam, mu, theta, decay)
     # exposure: T for the alive, the dropout time tau for the dead.  tau is
     # drawn for everyone; at t_x == T, where nobody is drawn dead (the
     # conditional alive probability is exactly 1), it is exactly T and
     # raises no warning.
-    exposure = np.where(alive, T, _dropout_time(t_x, T, theta, rng.random(n)))
+    exposure = np.where(alive, T, _dropout_time(t_x, T, theta, rng.random(n),
+                                                decay))
     lam = _draw_lambda(x, exposure, hyper, rng)
     mu = _draw_mu(alive, exposure, hyper, rng)
 
@@ -321,6 +359,7 @@ def run_chain(table, cfg):
     if np.any(T <= 0):
         raise ValueError("exposure must be positive")
 
+    span = T - t_x
     rng = np.random.default_rng(cfg.seed)
     lam = (x + 1.0) / T
     mu = np.full(n, 1.0) / T
@@ -333,7 +372,8 @@ def run_chain(table, cfg):
     trace = [] if cfg.keep_hyper_trace else None
 
     for sweep in range(cfg.sweeps):
-        lam, mu, hyper = gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng)
+        lam, mu, hyper = gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng,
+                                     span)
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
             sum_lam += lam
             sum_mu += mu

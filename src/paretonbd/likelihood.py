@@ -113,10 +113,10 @@ def _p_alive(t_x, T, lam, mu):
     return lam_w / (mu + lam_w)
 
 
-def _conditional_p_alive(t_x, T, lam, mu, theta):
-    """Unchecked kernel of conditional_p_alive, for validated float arrays
-    and theta = lam + mu."""
-    w = np.exp(-theta * (T - t_x))
+def _conditional_p_alive(lam, mu, theta, decay):
+    """Unchecked kernel of conditional_p_alive, for validated float arrays,
+    theta = lam + mu and decay = -theta * (T - t_x)."""
+    w = np.exp(decay)
     return theta * w / (mu + lam * w)
 
 
@@ -157,7 +157,8 @@ def conditional_p_alive(x, t_x, T, lam, mu):
     this probability; ``p_alive`` above is the classification score.
     """
     (x, t_x, T, lam, mu), scalar = _validated(x, t_x, T, lam, mu)
-    out = _conditional_p_alive(t_x, T, lam, mu, lam + mu)
+    theta = lam + mu
+    out = _conditional_p_alive(lam, mu, theta, -theta * (T - t_x))
     return float(out) if scalar else out
 
 

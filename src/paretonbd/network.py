@@ -31,7 +31,13 @@ with a vector of ones.  Both passes work in place on fresh arrays (bias
 adds, the output exp, the backward products), with the bits of the
 out-of-place expressions.  Every weight and bias is a view into one
 float64 buffer, ``NetworkWeights.flat``, which Adam updates whole, over
-shuffled mini-batches with optional early stopping on a validation slice.
+shuffled mini-batches with optional early stopping on a validation slice;
+the best weights are kept as a copy of that buffer and written back at the
+end.  Dropout masks come from the raw output of the bit generator: each
+64-bit word gives two units, and a unit is kept iff its 32-bit half is at
+least ceil(p * 2**32), which drops it with probability p to within 2**-32
+for half the raw draws that uniform doubles would take.  This needs a
+64-bit bit generator; ``train`` always builds PCG64.
 ``train`` and ``loss`` validate their inputs once, at entry; ``loss_gradient``
 checks only the loss kind and trusts its arrays.  For the ratio kinds,
 ``train`` computes the label log-likelihood once per call, as a column
@@ -39,6 +45,7 @@ sliced with each batch and the validation rows (``ll_label``).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,9 +126,6 @@ class NetworkWeights:
         views = [v.reshape(a.shape) for v, a in zip(np.split(self.flat, ends), arrays)]
         self.weights, self.biases = views[:len(weights)], views[len(weights):]
 
-    def copy(self):
-        return NetworkWeights(self.weights, self.biases)
-
     def arrays(self):
         return self.weights + self.biases
 
@@ -160,9 +164,21 @@ def init_weights(spec, seed):
 
 
 def _dropout_masks(spec, n, rng):
-    """Inverted-dropout masks, shape (hidden_layers, n, hidden_width)."""
-    draw = rng.random((spec.hidden_layers, n, spec.hidden_width))
-    return (draw >= spec.dropout_p) / (1.0 - spec.dropout_p)
+    """Inverted-dropout masks, shape (hidden_layers, n, hidden_width).
+
+    Each unit takes one 32-bit half of the bit generator's raw 64-bit
+    output and is kept iff that half is >= ceil(p * 2**32), so it is dropped
+    with probability p to within 2**-32; kept units are scaled by 1/(1-p).
+    """
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.MT19937):
+        raise ValueError("dropout masks need a 64-bit bit generator, "
+                         "not MT19937")
+    shape = (spec.hidden_layers, n, spec.hidden_width)
+    size = shape[0] * n * shape[2]
+    halves = bit_generator.random_raw((size + 1) // 2).view(np.uint32)
+    keep = halves[:size] >= math.ceil(spec.dropout_p * 2.0 ** 32)
+    return np.multiply(keep, 1.0 / (1.0 - spec.dropout_p)).reshape(shape)
 
 
 def _forward_cache(features, w, masks=None):
@@ -227,10 +243,11 @@ def _loss_and_output_grad(x, t_x, T, lam, mu, lam_hat, mu_hat, kind,
     The ratio kinds use ll_label, the label log-likelihood, when given.
     """
     head = kind.split("_")[0]
-    e_lam, e_mu = lam_hat - lam, mu_hat - mu
     if kind.endswith("mse"):
+        e_lam, e_mu = lam_hat - lam, mu_hat - mu
         penalty, d_lam, d_mu = e_mu ** 2 + e_lam ** 2, 2.0 * e_lam, 2.0 * e_mu
     elif kind.endswith("mae"):
+        e_lam, e_mu = lam_hat - lam, mu_hat - mu
         penalty = np.abs(e_mu) + np.abs(e_lam)
         d_lam, d_mu = np.sign(e_lam), np.sign(e_mu)
     if head in ("mse", "mae"):
@@ -371,7 +388,7 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
     step = 0
     history = []
     best_val = np.inf
-    best_w = None
+    best_flat = None
     stale = 0
 
     for epoch in range(cfg.epochs):
@@ -406,15 +423,15 @@ def train(table, lam_labels, mu_labels, cfg, kind, spec=None,
         if n_val > 0 and cfg.early_stop_patience > 0:
             if val_loss < best_val:
                 best_val = val_loss
-                best_w = w.copy()
+                best_flat = w.flat.copy()
                 stale = 0
             else:
                 stale += 1
                 if stale >= cfg.early_stop_patience:
                     break
 
-    if best_w is not None:
-        w = best_w
+    if best_flat is not None:
+        w.flat[:] = best_flat
     return w, scaler, history
 
 

@@ -188,6 +188,27 @@ def test_acceptance_sampler_micro_oracles():
     assert abs(_z(dead_draws ** 2, 2.0 * 3.0 / 5.0 ** 2)) < z_crit
 
 
+def test_acceptance_sampler_micro_oracles_below_shape_one():
+    # shapes below 1 are drawn as Gamma(a + 1) * U**(1/a); the first two
+    # moments must still be those of Gamma(a)
+    n = 100_000
+    z_crit = stats.norm.ppf(0.995)
+    rng = np.random.default_rng(506)
+    hyper = HyperParams(r=0.3, alpha=2.0, s=0.4, beta=3.0)
+
+    # no repeat purchases: Gamma(r, rate alpha + exposure) = Gamma(0.3, 7)
+    lam_draws = draw_lambda(np.zeros(n), np.full(n, 5.0), hyper, rng)
+    shape, rate = 0.3, 7.0
+    assert abs(_z(lam_draws, shape / rate)) < z_crit
+    assert abs(_z(lam_draws ** 2, shape * (shape + 1) / rate ** 2)) < z_crit
+
+    # alive: Gamma(s, rate beta + T) = Gamma(0.4, 11)
+    mu_draws = draw_mu(np.ones(n, bool), np.full(n, 8.0), None, hyper, rng)
+    shape, rate = 0.4, 11.0
+    assert abs(_z(mu_draws, shape / rate)) < z_crit
+    assert abs(_z(mu_draws ** 2, shape * (shape + 1) / rate ** 2)) < z_crit
+
+
 # --------------------------------------------------------------------------
 # 6. metric hand examples, exact
 
@@ -330,37 +351,37 @@ PINNED_SIMD = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
 PINNED_DIGESTS = {
     "train_summary.csv": "06fb00da8eb15945",
     "test_summary.csv": "89a75cba129a1bbf",
-    "labels_train.csv": "5a0487c83c6fdadd",
-    "labels_test.csv": "fb6fe3768e54c64c",
-    "model_mse.json": "9a5f5aa58554a65c",
-    "history_mse.csv": "6783078d96458443",
-    "model_mae.json": "5628d07faa1c0302",
-    "history_mae.csv": "2685d844e6d1c175",
-    "model_nll.json": "90168774a40bf3c7",
-    "history_nll.csv": "19631aecd3bfaa28",
-    "model_nll_mse.json": "cedfcd1f87cb7102",
-    "history_nll_mse.csv": "b5c43c2e632dfed7",
-    "model_nll_mae.json": "8bcf23ef8d6e9772",
-    "history_nll_mae.csv": "b74ef86fb39eb26e",
-    "model_ratio.json": "dd1c7469c2fd6ed0",
-    "history_ratio.csv": "6e930c5ce902405a",
-    "model_ratio_mse.json": "e345d0ef323938f1",
-    "history_ratio_mse.csv": "853fa36f96bdc05d",
-    "model_ratio_mae.json": "fd4fc98ac156ef56",
-    "history_ratio_mae.csv": "e5e9afc48a07ee0a",
-    "forecast_pareto_nbd.csv": "4400218c434a3726",
-    "forecast_nn_mse.csv": "97360e6687f3529a",
-    "forecast_nn_mae.csv": "edee8f2fac9b7c09",
-    "forecast_nn_nll.csv": "ffeffab98ff60fa0",
-    "forecast_nn_nll_mse.csv": "e2aebf974a6fd09a",
-    "forecast_nn_nll_mae.csv": "c8e4352010bd08ae",
-    "forecast_nn_ratio.csv": "a2711a6d6929852b",
-    "forecast_nn_ratio_mse.csv": "cb9e83b899c3e738",
-    "forecast_nn_ratio_mae.csv": "b4dc0b5c1719b8ce",
-    "metrics.csv": "d5757b56d58511d2",
-    "metrics.json": "d21b187787a70e24",
-    "histograms.csv": "6b53a0fa56ef87c9",
-    "correlations.csv": "7d9000413d516d10",
+    "labels_train.csv": "065f015c98a19f3c",
+    "labels_test.csv": "dbacbfb5eb6a45ab",
+    "model_mse.json": "f18a534fa9fd567e",
+    "history_mse.csv": "b0b7f5c03474aadf",
+    "model_mae.json": "fda0a0992a5cd7cf",
+    "history_mae.csv": "75c0636da1ecad12",
+    "model_nll.json": "b30d1add9c35349b",
+    "history_nll.csv": "458a46c2df8be0ef",
+    "model_nll_mse.json": "985c6fc138231864",
+    "history_nll_mse.csv": "22677b98c2433240",
+    "model_nll_mae.json": "f8c7d2ba33ba2bcb",
+    "history_nll_mae.csv": "2806ee81f39253ae",
+    "model_ratio.json": "c98e47b51314acf7",
+    "history_ratio.csv": "211ac690ef90e5ec",
+    "model_ratio_mse.json": "d73e9d3aafaafccf",
+    "history_ratio_mse.csv": "b409752f7ff8529a",
+    "model_ratio_mae.json": "54f5fa0dbf4be822",
+    "history_ratio_mae.csv": "b8591648298dd160",
+    "forecast_pareto_nbd.csv": "2387dd671e1bc951",
+    "forecast_nn_mse.csv": "21423e55f131adce",
+    "forecast_nn_mae.csv": "cdc0fb18bd1aa693",
+    "forecast_nn_nll.csv": "d9b7fcf72c79c517",
+    "forecast_nn_nll_mse.csv": "d156e0ad4cd00736",
+    "forecast_nn_nll_mae.csv": "0a2c4a41d7ff04a3",
+    "forecast_nn_ratio.csv": "586c457461b6d5e8",
+    "forecast_nn_ratio_mse.csv": "fb5a24e946aa7f30",
+    "forecast_nn_ratio_mae.csv": "f2b47224f5f1b9a4",
+    "metrics.csv": "f36f2262eb1579a6",
+    "metrics.json": "8083c69bcc889fe8",
+    "histograms.csv": "47b85ba5cdb002ec",
+    "correlations.csv": "dcfdc04420e96181",
 }
 
 

@@ -149,6 +149,36 @@ def test_draw_mu_requires_tau_for_dead_customers():
                       np.random.default_rng(0))
 
 
+def test_gamma_kernel_per_shape_ks_on_interleaved_shapes():
+    # boosted (a < 1) and direct (a >= 1) shapes interleaved in one call, each
+    # with its own scale, so a boost applied to the wrong index shows up as a
+    # wrong law for some shape
+    shapes = np.array([0.05, 0.34, 0.999, 1.0, 2.5])
+    scales = np.array([3.0, 0.5, 2.0, 0.25, 7.0])
+    per_shape = 40_000
+    shape = np.tile(shapes, per_shape)
+    scale = np.tile(scales, per_shape)
+    draws = gibbs._gamma(shape, scale, np.random.default_rng(31))
+    assert draws.shape == shape.shape and np.all(draws >= 0)
+    crit = KS_CRIT_1PCT / np.sqrt(per_shape)
+    for k, (a, b) in enumerate(zip(shapes, scales)):
+        d = stats.kstest(draws[k::shapes.size], stats.gamma(a, scale=b).cdf)
+        assert d.statistic < crit, (a, d.statistic)
+
+
+def test_public_rate_draws_broadcast_scalars():
+    # a scalar count or alive flag broadcasts against the exposures: every
+    # customer gets its own draw, and scalars give a scalar
+    hyper = HyperParams(0.5, 2.0, 0.4, 3.0)
+    rng = np.random.default_rng(8)
+    lam = gibbs.draw_lambda(0.0, np.full(50, 4.0), hyper, rng)
+    mu = gibbs.draw_mu(True, np.full(50, 4.0), None, hyper, rng)
+    for draws in (lam, mu):
+        assert draws.shape == (50,) and np.unique(draws).size == 50
+    assert np.ndim(gibbs.draw_lambda(0.0, 4.0, hyper, rng)) == 0
+    assert np.ndim(gibbs.draw_mu(True, 4.0, None, hyper, rng)) == 0
+
+
 # ---------------------------------------------------------------------------
 # hyperparameter update
 
@@ -382,6 +412,57 @@ def test_sweep_equals_reference_over_many_sweeps_at_boundaries():
     t_x[buyers] = T[buyers]
     assert np.any(x == 0) and np.any((t_x == T) & (x > 0))
     assert_sweeps_match_reference(x, t_x, T, sweeps=25, seed=19)
+
+
+def numpy_gamma_chain_means(x, t_x, T, cfg):
+    """Per-customer label means of a fixed-hyper chain whose rate draws are
+    plain ``rng.gamma`` calls, with run_chain's start, burn-in and thinning."""
+    hyper = cfg.fixed_hyper
+    rng = np.random.default_rng(cfg.seed)
+    lam, mu = (x + 1.0) / T, 1.0 / T
+    sum_lam, sum_mu, kept = np.zeros(x.size), np.zeros(x.size), 0
+    for sweep in range(cfg.sweeps):
+        alive = rng.random(x.size) < conditional_p_alive(x, t_x, T, lam, mu)
+        u = rng.random(x.size)
+        exposure = T.copy()
+        dead = ~alive
+        exposure[dead] = gibbs.draw_dropout_time(
+            t_x[dead], T[dead], lam[dead], mu[dead], u[dead])
+        lam = np.maximum(rng.gamma(hyper.r + x, 1.0 / (hyper.alpha + exposure)),
+                         gibbs._DRAW_FLOOR)
+        mu = np.maximum(rng.gamma(np.where(alive, hyper.s, hyper.s + 1.0),
+                                  1.0 / (hyper.beta + exposure)),
+                        gibbs._DRAW_FLOOR)
+        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
+            sum_lam += lam
+            sum_mu += mu
+            kept += 1
+    return sum_lam / kept, sum_mu / kept
+
+
+def test_run_chain_labels_agree_with_numpy_gamma_chain():
+    # the boosted draws for shapes below 1 (r + 0 and s here) must leave the
+    # per-customer posterior means where numpy's own Gamma draws put them,
+    # within Monte Carlo error estimated across chain seeds
+    x, t_x, T = cohort_summary(200, 33)
+    table = data.CalibrationTable([str(i) for i in range(x.size)], x, t_x, T,
+                                  np.zeros(x.size, dtype=int))
+    hyper = HyperParams(0.5, 10.0, 0.4, 20.0)
+    seeds = range(8)
+    ours, theirs = [], []
+    for seed in seeds:
+        cfg = ChainConfig(sweeps=1100, burn_in=100, thin=1, seed=seed,
+                          fixed_hyper=hyper)
+        post = gibbs.run_chain(table, cfg)
+        ours.append((post.mean_lambda, post.mean_mu))
+        theirs.append(numpy_gamma_chain_means(x, t_x, T, cfg))
+    ours, theirs = np.asarray(ours), np.asarray(theirs)  # (seed, rate, n)
+    se2 = (ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / len(seeds)
+    z = (ours.mean(axis=0) - theirs.mean(axis=0)) / np.sqrt(se2)
+    for rate_z in z:  # lam, then mu
+        assert abs(rate_z.mean()) < 4.0 / np.sqrt(rate_z.size), rate_z.mean()
+        assert 0.5 < rate_z.var() < 2.0, rate_z.var()
+        assert np.mean(np.abs(rate_z) > 3.5) < 0.02
 
 
 def test_dropout_time_kernel_returns_T_on_empty_window():

@@ -140,6 +140,54 @@ def test_dropout_masks_inverted_scaling():
     assert abs(flat.mean() - 1.0) < 3.0 * se
 
 
+def raw_halves(rng, words):
+    """The next 2 * words 32-bit halves of rng's raw stream, rng untouched."""
+    twin = np.random.Generator(type(rng.bit_generator)())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin.bit_generator.random_raw(words).view(np.uint32)
+
+
+def test_dropout_masks_keep_exactly_the_halves_at_the_threshold():
+    # an odd unit count (1 * 3 * 3) takes 5 raw words and leaves the stream
+    # just past them; p is set to one of the halves over 2**32, so that half
+    # sits exactly on the threshold and must be kept
+    rng = np.random.default_rng(12)
+    halves = raw_halves(rng, 5)[:9]
+    edge = int(np.sort(halves)[4])
+    p = edge / 2.0 ** 32
+    spec = NetworkSpec(input_dim=2, hidden_layers=1, hidden_width=3,
+                       dropout_p=p)
+    masks = network._dropout_masks(spec, 3, rng)
+    keep = halves >= edge
+    assert keep.sum() == 5
+    assert np.array_equal(masks.ravel(), np.where(keep, 1.0 / (1.0 - p), 0.0))
+    assert masks.shape == (1, 3, 3)
+    assert rng.bit_generator.random_raw() == raw_halves(
+        np.random.default_rng(12), 6)[10:].view(np.uint64)[0]
+
+
+def test_dropout_masks_drop_share():
+    for p in (0.05, 0.5, 0.9):
+        spec = NetworkSpec(input_dim=3, hidden_layers=3, dropout_p=p)
+        masks = network._dropout_masks(spec, 4001, np.random.default_rng(7))
+        dropped = np.mean(masks == 0.0)
+        assert abs(dropped - p) < 4.0 * math.sqrt(p * (1 - p) / masks.size)
+        assert np.all((masks == 0.0) | (masks == 1.0 / (1.0 - p)))
+
+
+def test_dropout_masks_drop_nothing_at_zero_rate():
+    spec = NetworkSpec(input_dim=3, dropout_p=0.0)
+    masks = network._dropout_masks(spec, 777, np.random.default_rng(3))
+    assert np.all(masks == 1.0)
+
+
+def test_dropout_masks_reject_32_bit_generator():
+    spec = NetworkSpec(input_dim=3)
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="MT19937"):
+        network._dropout_masks(spec, 8, rng)
+
+
 # ---------------------------------------------------------------------------
 # loss values
 
