@@ -1,8 +1,9 @@
 """Run the whole three-stage experiment on a synthetic cohort.
 
-Stage 1 splits customers 60/40 and Gibbs-samples labels for both cohorts,
-stage 2 trains one network per configured loss, stage 3 forecasts the
-holdout period for the out-of-sample cohort and writes the metric tables.
+Stage 1 splits customers 60/40 and fits empirical-Bayes labels for both
+cohorts, stage 2 trains one network per configured loss, stage 3 forecasts
+the holdout period for the out-of-sample cohort and writes the metric
+tables.
 Everything derives from one global seed, so rerunning reproduces every
 artifact byte for byte.
 """
@@ -25,7 +26,6 @@ def main():
         dataset=os.path.join(datadir, "transactions.csv"),
         out=os.path.join(workdir, "out"),
         seed=6,
-        sweeps=800, burn_in=300,
         epochs=120, batch_size=64, patience=8,
         losses=("mse", "nll", "nll_mse", "ratio"),
     )

@@ -1,8 +1,9 @@
 """Pareto/NBD parameter estimation with a neural surrogate.
 
-Closed-form likelihood quantities, a data-augmented Gibbs sampler for
-per-customer (lam, mu) posteriors, a small MLP trained on those posterior
-means with likelihood-aware losses, and holdout forecasting metrics.
+Closed-form likelihood quantities, per-customer (lam, mu) posterior means
+(empirical Bayes by quadrature, with a data-augmented Gibbs sampler as the
+reference), a small MLP trained on those posterior means with
+likelihood-aware losses, and holdout forecasting metrics.
 """
 
 import os
@@ -45,6 +46,7 @@ from .gibbs import (
     run_chain,
     write_labels_csv,
 )
+from .posterior import fit_eb
 from .simulate import (
     DEFAULT_HYPER,
     SyntheticCohort,
@@ -87,6 +89,7 @@ from .metrics import (
     mae_metric,
     metric_correlations,
     multi_accuracy,
+    rate_recovery,
 )
 from .config import ExperimentConfig, parse_config, write_config
 from .experiment import (

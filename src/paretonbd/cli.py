@@ -4,6 +4,7 @@ Subcommands mirror the pipeline stages so each is runnable on its own:
 
   ingest     normalize a raw transactions file to the generic CSV
   simulate   generate a synthetic cohort with known (lam, mu) truth
+  fit-labels empirical-Bayes posterior mean (lam, mu) per customer
   fit-mcmc   Gibbs-sample posterior mean (lam, mu) per customer
   train-nn   fit the surrogate network on summaries + labels
   predict    forecast a holdout period from a model or a labels file
@@ -83,15 +84,29 @@ def cmd_simulate(args):
     return 0
 
 
+def _print_hyper(table, path, kind, h):
+    print(f"{len(table)} customers -> {path}  {kind} (r, alpha, s, beta) = "
+          f"({h.r:.4f}, {h.alpha:.4f}, {h.s:.4f}, {h.beta:.4f})")
+
+
+def cmd_fit_labels(args):
+    table = data.CalibrationTable.from_csv(_require(args.summaries))
+    post = experiment.fit_labels(table, args.out)
+    _print_hyper(table, args.out, "posterior mode", post.hyper_mean)
+    return 0
+
+
 def cmd_fit_mcmc(args):
     table = data.CalibrationTable.from_csv(_require(args.summaries))
-    cfg = _config(args)
-    post = experiment.fit_labels(table, cfg, cfg.seed, args.out,
-                                 trace_path=args.trace)
-    h = post.hyper_mean
-    print(f"{len(table)} customers -> {args.out}  "
-          f"posterior mean (r, alpha, s, beta) = "
-          f"({h.r:.4f}, {h.alpha:.4f}, {h.s:.4f}, {h.beta:.4f})")
+    chain_cfg = gibbs.ChainConfig(
+        sweeps=args.sweeps, burn_in=args.burn_in, thin=args.thin,
+        seed=_config(args).seed, keep_hyper_trace=args.trace is not None)
+    post = gibbs.run_chain(table, chain_cfg)
+    gibbs.write_labels_csv(args.out, post.customer_ids,
+                           post.mean_lambda, post.mean_mu)
+    if args.trace is not None:
+        gibbs.write_hyper_trace_csv(args.trace, post.hyper_trace)
+    _print_hyper(table, args.out, "posterior mean", post.hyper_mean)
     return 0
 
 
@@ -191,11 +206,17 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_simulate)
 
+    p = sub.add_parser("fit-labels",
+                       help="empirical-Bayes (lam, mu) labels, as in run")
+    p.add_argument("--summaries", required=True)
+    p.add_argument("--out", required=True, help="output labels CSV")
+    p.set_defaults(func=cmd_fit_labels)
+
     p = sub.add_parser("fit-mcmc", help="Gibbs-sample (lam, mu) posteriors")
     p.add_argument("--summaries", required=True)
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--burn-in", type=int)
-    p.add_argument("--thin", type=int)
+    p.add_argument("--sweeps", type=int, default=gibbs.ChainConfig.sweeps)
+    p.add_argument("--burn-in", type=int, default=gibbs.ChainConfig.burn_in)
+    p.add_argument("--thin", type=int, default=gibbs.ChainConfig.thin)
     p.add_argument("--seed", type=int)
     p.add_argument("--trace", help="optional hyperparameter trace CSV")
     p.add_argument("--out", required=True, help="output labels CSV")

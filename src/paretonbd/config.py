@@ -5,17 +5,13 @@ ignored.  Lists are comma-separated.  Booleans are true/false.  Unknown
 keys are rejected so typos fail loudly.
 
 Schema (defaults are the field defaults of ExperimentConfig, which take
-the chain, network and training defaults from ChainConfig, NetworkSpec and
-TrainingConfig):
+the network and training defaults from NetworkSpec and TrainingConfig):
 
   dataset                path to the transactions file (required)
   format                 csv | cdnow
   merge_same_day         true | false
   covariates             subset of units,total_spend,mean_spend
   train_fraction         in-sample share of customers
-  sweeps                 Gibbs sweeps
-  burn_in                discarded sweeps
-  thin                   keep every k-th sweep
   hidden_layers          hidden layer count
   hidden_width           units per hidden layer
   dropout_p              hidden dropout probability
@@ -37,7 +33,6 @@ TrainingConfig):
 from dataclasses import dataclass, fields
 
 from .forecast import DEFAULT_THRESHOLD, ROUNDING_MODES
-from .gibbs import ChainConfig
 from .metrics import DEFAULT_HISTOGRAM_CAP
 from .network import (LOSS_KINDS, RATIO_INTERPRETATIONS, NetworkSpec,
                       TrainingConfig)
@@ -50,9 +45,6 @@ class ExperimentConfig:
     merge_same_day: bool = False
     covariates: tuple = ()
     train_fraction: float = 0.6
-    sweeps: int = ChainConfig.sweeps
-    burn_in: int = ChainConfig.burn_in
-    thin: int = ChainConfig.thin
     hidden_layers: int = NetworkSpec.hidden_layers
     hidden_width: int = NetworkSpec.hidden_width
     dropout_p: float = NetworkSpec.dropout_p

@@ -86,6 +86,26 @@ def consistency(y_a, y_b):
     return float(np.mean(y_a == y_b))
 
 
+def rate_recovery(lam_hat, mu_hat, lam_true, mu_true):
+    """How close estimated rates lie to known true ones.
+
+    Returns {"lambda": (median, share), "mu": (median, share)}, where median
+    is the median of |log(estimate / truth)| over customers and share the
+    fraction of customers whose estimate is within a factor of 2 of the
+    truth.  Rates must be positive.
+    """
+    out = {}
+    for name, est, truth in (("lambda", lam_hat, lam_true),
+                             ("mu", mu_hat, mu_true)):
+        est, truth = _paired(np.asarray(est, dtype=float),
+                             np.asarray(truth, dtype=float))
+        if not (np.all(est > 0) and np.all(truth > 0)):
+            raise ValueError("rates must be positive")
+        err = np.abs(np.log(est / truth))
+        out[name] = (float(np.median(err)), float(np.mean(err <= np.log(2.0))))
+    return out
+
+
 @dataclass
 class MetricsReport:
     model: str

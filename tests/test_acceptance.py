@@ -326,14 +326,14 @@ def test_acceptance_rerun_byte_identical(tmp_path):
         out = tmp_path / name
         cfg = ExperimentConfig(
             dataset=str(datadir / "transactions.csv"), out=str(out), seed=9,
-            sweeps=150, burn_in=50, epochs=25, batch_size=64, patience=0,
-            losses=("mse", "nll_mse"))
+            epochs=25, batch_size=64, patience=0, losses=("mse", "nll_mse"))
         assert run_experiment(cfg).status == 0
         outs.append(out)
     first, second = outs
     names = sorted(p.name for p in first.glob("forecast_*.csv"))
     assert len(names) == 3
-    for name in names + ["metrics.json"]:
+    for name in names + ["labels_train.csv", "labels_test.csv",
+                         "metrics.json"]:
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
@@ -351,37 +351,37 @@ PINNED_SIMD = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
 PINNED_DIGESTS = {
     "train_summary.csv": "06fb00da8eb15945",
     "test_summary.csv": "89a75cba129a1bbf",
-    "labels_train.csv": "065f015c98a19f3c",
-    "labels_test.csv": "dbacbfb5eb6a45ab",
-    "model_mse.json": "f18a534fa9fd567e",
-    "history_mse.csv": "b0b7f5c03474aadf",
-    "model_mae.json": "fda0a0992a5cd7cf",
-    "history_mae.csv": "75c0636da1ecad12",
+    "labels_train.csv": "5dfc8b19fca7048a",
+    "labels_test.csv": "298b5330cafba79d",
+    "model_mse.json": "c5362de1a04517e4",
+    "history_mse.csv": "3dd4dfd6b8a54bd1",
+    "model_mae.json": "2deb787d5d55f89e",
+    "history_mae.csv": "043406740084a2fb",
     "model_nll.json": "b30d1add9c35349b",
     "history_nll.csv": "458a46c2df8be0ef",
-    "model_nll_mse.json": "985c6fc138231864",
-    "history_nll_mse.csv": "22677b98c2433240",
-    "model_nll_mae.json": "f8c7d2ba33ba2bcb",
-    "history_nll_mae.csv": "2806ee81f39253ae",
-    "model_ratio.json": "c98e47b51314acf7",
-    "history_ratio.csv": "211ac690ef90e5ec",
-    "model_ratio_mse.json": "d73e9d3aafaafccf",
-    "history_ratio_mse.csv": "b409752f7ff8529a",
-    "model_ratio_mae.json": "54f5fa0dbf4be822",
-    "history_ratio_mae.csv": "b8591648298dd160",
-    "forecast_pareto_nbd.csv": "2387dd671e1bc951",
-    "forecast_nn_mse.csv": "21423e55f131adce",
-    "forecast_nn_mae.csv": "cdc0fb18bd1aa693",
+    "model_nll_mse.json": "29fcdf2142d87cd5",
+    "history_nll_mse.csv": "71c73c09ac693da0",
+    "model_nll_mae.json": "746aec948339fffc",
+    "history_nll_mae.csv": "57aecc081851fdae",
+    "model_ratio.json": "6ba7234a5fd18646",
+    "history_ratio.csv": "63e00047b52001a2",
+    "model_ratio_mse.json": "af84ad5209f09877",
+    "history_ratio_mse.csv": "80755bd852c9341d",
+    "model_ratio_mae.json": "d948b372dc3a63f4",
+    "history_ratio_mae.csv": "5325d0308882544b",
+    "forecast_pareto_nbd.csv": "971873df36c75d3f",
+    "forecast_nn_mse.csv": "8670b42b463de4bb",
+    "forecast_nn_mae.csv": "346a1606c1b91e33",
     "forecast_nn_nll.csv": "d9b7fcf72c79c517",
-    "forecast_nn_nll_mse.csv": "d156e0ad4cd00736",
-    "forecast_nn_nll_mae.csv": "0a2c4a41d7ff04a3",
-    "forecast_nn_ratio.csv": "586c457461b6d5e8",
-    "forecast_nn_ratio_mse.csv": "fb5a24e946aa7f30",
-    "forecast_nn_ratio_mae.csv": "f2b47224f5f1b9a4",
-    "metrics.csv": "f36f2262eb1579a6",
-    "metrics.json": "8083c69bcc889fe8",
-    "histograms.csv": "47b85ba5cdb002ec",
-    "correlations.csv": "dcfdc04420e96181",
+    "forecast_nn_nll_mse.csv": "47ce31fdd477c50b",
+    "forecast_nn_nll_mae.csv": "0559324a11fd13d0",
+    "forecast_nn_ratio.csv": "a8aa8ca929cb8d11",
+    "forecast_nn_ratio_mse.csv": "39516314cb7d47f4",
+    "forecast_nn_ratio_mae.csv": "78ea5dadda8964a8",
+    "metrics.csv": "c4bd092390b68611",
+    "metrics.json": "47ccc02b53c8fa66",
+    "histograms.csv": "6c2ef45e7b22761e",
+    "correlations.csv": "99f360ff5694e8cf",
 }
 
 
@@ -390,8 +390,7 @@ def pinned_artifacts(tmp_path):
     path = tmp_path / "transactions.csv"
     data.write_transactions_csv(str(path), simulate.make_cohort(1000, 14).log)
     cfg = ExperimentConfig(dataset=str(path), out=str(tmp_path / "out"),
-                           seed=3, sweeps=500, burn_in=150, epochs=60,
-                           batch_size=64, patience=5)
+                           seed=3, epochs=60, batch_size=64, patience=5)
     result = run_experiment(cfg)
     assert result.status == 0
     return {name: digest[:16]

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretonbd import cli, config, data, forecast, simulate
+from paretonbd import cli, config, data, forecast, gibbs, simulate
 from paretonbd.experiment import stage_seed
 
 RUN_SEED = 3
@@ -26,9 +26,6 @@ CONFIG_TEMPLATE = """\
 # small synthetic experiment
 dataset = {dataset}
 train_fraction = 0.6
-sweeps = 150
-burn_in = 50
-thin = 2
 hidden_layers = 1
 hidden_width = 8
 dropout_p = 0.1
@@ -146,9 +143,8 @@ def test_stage_composition_reproduces_run(pipeline, tmp_path):
     manifest = pipeline["manifest"]
 
     relabels = tmp_path / "labels_train.csv"
-    assert cli.main(["fit-mcmc", "--summaries", str(out / "train_summary.csv"),
-                     "--sweeps", "150", "--burn-in", "50", "--thin", "2",
-                     "--seed", str(stage_seed(RUN_SEED, "mcmc-train")),
+    assert cli.main(["fit-labels", "--summaries",
+                     str(out / "train_summary.csv"),
                      "--out", str(relabels)]) == 0
     assert relabels.read_bytes() == (out / "labels_train.csv").read_bytes()
 
@@ -177,6 +173,37 @@ def test_stage_composition_reproduces_run(pipeline, tmp_path):
                      "--horizon", repr(manifest["horizon_weeks"]),
                      "--out", str(refc_nn)]) == 0
     assert refc_nn.read_bytes() == (out / "forecast_nn_mse.csv").read_bytes()
+
+
+def test_fit_mcmc_matches_library_chain(pipeline, tmp_path, capsys):
+    summaries = pipeline["out"] / "train_summary.csv"
+    out, trace = tmp_path / "labels.csv", tmp_path / "trace.csv"
+    assert cli.main(["fit-mcmc", "--summaries", str(summaries),
+                     "--sweeps", "150", "--burn-in", "50", "--thin", "2",
+                     "--seed", "17", "--trace", str(trace),
+                     "--out", str(out)]) == 0
+    assert "posterior mean (r, alpha, s, beta)" in capsys.readouterr().out
+    post = gibbs.run_chain(data.CalibrationTable.from_csv(str(summaries)),
+                           gibbs.ChainConfig(sweeps=150, burn_in=50, thin=2,
+                                             seed=17))
+    want = tmp_path / "want.csv"
+    gibbs.write_labels_csv(str(want), post.customer_ids, post.mean_lambda,
+                           post.mean_mu)
+    assert out.read_bytes() == want.read_bytes()
+    assert len(trace.read_text().splitlines()) == 1 + 50
+
+
+def test_fit_labels_prints_the_mode_and_takes_no_chain_flags(pipeline,
+                                                             tmp_path, capsys):
+    summaries = str(pipeline["out"] / "train_summary.csv")
+    assert cli.main(["fit-labels", "--summaries", summaries,
+                     "--out", str(tmp_path / "labels.csv")]) == 0
+    assert "posterior mode (r, alpha, s, beta)" in capsys.readouterr().out
+    for flag in ("--sweeps", "--seed", "--trace"):
+        with pytest.raises(SystemExit):
+            cli.main(["fit-labels", "--summaries", summaries, flag, "1",
+                      "--out", str(tmp_path / "flagged.csv")])
+    assert not (tmp_path / "flagged.csv").exists()
 
 
 def _hand_summaries(path):
@@ -295,12 +322,15 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     path.write_text("merge_same_day = yep\n")
     with pytest.raises(ValueError, match="true or false"):
         config.parse_config(str(path))
+    path.write_text("dataset = d.csv\nout = o\nsweeps = 4000\n")
+    with pytest.raises(ValueError, match="unknown key 'sweeps'"):
+        config.parse_config(str(path))
 
 
 def test_run_flags_override_config_file(pipeline, tmp_path):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(
-        f"dataset = {pipeline['dataset']}\nsweeps = 30\nburn_in = 10\n"
+        f"dataset = {pipeline['dataset']}\n"
         "hidden_width = 8\nepochs = 3\nbatch_size = 64\nlosses = mse\n"
         f"threshold = 0.6\ncap = 4\nseed = 1\nout = {tmp_path / 'unused'}\n")
     out = tmp_path / "out"
@@ -317,8 +347,8 @@ def test_run_flags_override_config_file(pipeline, tmp_path):
     assert got["rounding"] == "floor"
     assert got["cap"] == 5
     # keys without a flag keep their config-file values
-    assert (got["sweeps"], got["burn_in"], got["hidden_width"],
-            got["epochs"], got["batch_size"]) == (30, 10, 8, 3, 64)
+    assert (got["hidden_width"], got["epochs"],
+            got["batch_size"]) == (8, 3, 64)
     assert got["dataset"] == str(pipeline["dataset"])
 
 

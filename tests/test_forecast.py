@@ -256,7 +256,7 @@ def test_manifest_lists_collapsed_forecasts(tmp_path, monkeypatch):
                                   np.full(len(table), 1000.0)))
     cfg = ExperimentConfig(
         dataset=str(datadir / "transactions.csv"), out=str(tmp_path / "out"),
-        seed=9, sweeps=60, burn_in=20, epochs=2, batch_size=64, patience=0,
+        seed=9, epochs=2, batch_size=64, patience=0,
         losses=("mse", "nll"))
     result = experiment.run_experiment(cfg)
     assert result.status == 0 and result.manifest["status"] == "ok"

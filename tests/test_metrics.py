@@ -248,3 +248,15 @@ def test_histogram_csv_shared_labels(tmp_path):
             "a": (["0", "1"], [1, 2]),
             "b": (["0", "2"], [1, 2]),
         })
+
+
+def test_rate_recovery_hand_values():
+    # ratios 2, 1, 1/3, 4 (lambda) and 1/2, 1/2, 1, 8 (mu)
+    got = metrics.rate_recovery([2.0, 1.0, 1.0, 4.0], [0.5, 1.0, 2.0, 8.0],
+                                [1.0, 1.0, 3.0, 1.0], [1.0, 2.0, 2.0, 1.0])
+    assert_allclose(got["lambda"], (np.log(6.0) / 2.0, 0.5), rtol=1e-15)
+    assert_allclose(got["mu"], (np.log(2.0), 0.75), rtol=1e-15)
+    with pytest.raises(ValueError, match="positive"):
+        metrics.rate_recovery([0.0], [1.0], [1.0], [1.0])
+    with pytest.raises(ValueError, match="equal length"):
+        metrics.rate_recovery([1.0, 2.0], [1.0], [1.0], [1.0])
