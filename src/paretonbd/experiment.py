@@ -8,8 +8,13 @@ means: exact per-customer means at the mode of the posterior of (log r,
 log alpha, log s, log beta) under the Gibbs sampler's hyperprior
 (paretonbd.posterior).  The stage keeps the name "mcmc" in MANIFEST.json and
 timing.json.  Stage 2 trains one network per configured loss kind on the
-labeled in-sample summaries.  Stage 3 forecasts the holdout period for the
-out-of-sample cohort with every model and writes the metric tables.
+labeled in-sample summaries, in forked worker processes, one per usable CPU
+(train_models); each kind keeps its own seed, so every artifact has the same
+bits whatever the worker count.  Stage 3 forecasts the holdout period for
+the out-of-sample cohort with every model and writes the metric tables.
+timing.json records the seconds of each stage, the training worker count
+and, per loss kind, the train seconds measured in its worker and the epochs
+run.
 
 All artifacts land in the configured output directory; MANIFEST.json
 records which stages completed, the digest of every deterministic
@@ -25,10 +30,14 @@ composes them and the CLI subcommands call the same functions.
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
+import threading
 import time
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,9 +46,6 @@ from . import data, forecast, gibbs, metrics, network, posterior
 logger = logging.getLogger(__name__)
 
 BASELINE_MODEL = "pareto_nbd"
-
-TIMING_REFERENCE_SECONDS = 21.0
-TIMING_BUDGET_SECONDS = 60.0
 
 
 def stage_seed(global_seed, stage):
@@ -115,6 +121,59 @@ def fit_model(table, lam, mu, cfg, kind, seed, path, history_path=None):
     if history_path is not None:
         network.write_history_csv(history_path, history)
     return w, scaler, history
+
+
+# (table, lam, mu, cfg), inherited by the worker processes of train_models.
+_worker_inputs = ()
+
+
+def _set_worker_inputs(*inputs):
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _fit_task(task, inputs=None):
+    """fit_model for one train_models task, on inputs or else on the
+    worker's inherited ones; returns (weights, scaler, train seconds,
+    epochs run)."""
+    kind, seed, model_path, history_path = task
+    t0 = time.perf_counter()
+    w, scaler, history = fit_model(*(inputs or _worker_inputs), kind, seed,
+                                   model_path, history_path=history_path)
+    return w, scaler, time.perf_counter() - t0, len(history)
+
+
+def train_workers(n_tasks):
+    """Worker processes for n_tasks training tasks: one per usable CPU (the
+    affinity mask).  It is 1 where the mask or the fork start method is
+    missing, or while other threads run: a lock one of them held at the fork
+    would stay held in the worker."""
+    if (not hasattr(os, "sched_getaffinity") or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(n_tasks, len(os.sched_getaffinity(0)))
+
+
+def train_models(table, lam, mu, cfg, tasks, workers):
+    """Run fit_model on (table, lam, mu, cfg) for each (kind, seed, model
+    path, history path) task, in `workers` forked processes (inline when
+    workers is 1); yields (weights, scaler, train seconds, epochs run) per
+    task, in task order.
+
+    The workers inherit the inputs by fork, and each writes its task's model
+    and history files, with the bits of a serial run.  The first failed task
+    in task order raises its error here.  Exhausting or closing the
+    generator shuts the pool down, cancelling tasks not yet started.
+    """
+    if workers == 1:
+        yield from map(partial(_fit_task, inputs=(table, lam, mu, cfg)),
+                       tasks)
+        return
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_set_worker_inputs,
+            initargs=(table, lam, mu, cfg)) as pool:
+        yield from pool.map(_fit_task, tasks)
 
 
 def write_forecast(table, lam, mu, horizon, cfg, path):
@@ -210,20 +269,8 @@ def run_experiment(cfg):
 
     def finish(failed_stage=None, error=None):
         status = 0 if failed_stage is None else 1
-        timing_doc = dict(timing)
-        timing_doc["reference_seconds"] = TIMING_REFERENCE_SECONDS
-        timing_doc["budget_seconds"] = TIMING_BUDGET_SECONDS
-        if timing["per_loss"]:
-            worst = max(timing["per_loss"].values())
-            timing_doc["max_loss_train_predict_seconds"] = worst
-            timing_doc["within_budget"] = worst < TIMING_BUDGET_SECONDS
-            if worst >= TIMING_BUDGET_SECONDS:
-                logger.warning(
-                    "train+predict took %.1f s, over the %.0f s budget "
-                    "(reference %.0f s)", worst, TIMING_BUDGET_SECONDS,
-                    TIMING_REFERENCE_SECONDS)
         with open(path("timing.json"), "w") as fh:
-            json.dump(timing_doc, fh, sort_keys=True, indent=1)
+            json.dump(timing, fh, sort_keys=True, indent=1)
         manifest["status"] = "ok" if status == 0 else "failed"
         if failed_stage is not None:
             manifest["failed_stage"] = failed_stage
@@ -269,16 +316,20 @@ def run_experiment(cfg):
 
     models = {}
     with stage("train"):
-        for kind in cfg.losses:
-            t0 = time.perf_counter()
-            w, scaler, _ = fit_model(
+        tasks = [(kind, stage_seed(cfg.seed, f"train-{kind}"),
+                  path(f"model_{kind}.json"), path(f"history_{kind}.csv"))
+                 for kind in cfg.losses]
+        workers = train_workers(len(tasks))
+        timing["train_workers"] = workers
+        with closing(train_models(
                 train_table, train_post.mean_lambda, train_post.mean_mu, cfg,
-                kind, stage_seed(cfg.seed, f"train-{kind}"),
-                path(f"model_{kind}.json"),
-                history_path=path(f"history_{kind}.csv"))
-            emit(f"model_{kind}.json", f"history_{kind}.csv")
-            models[kind] = (w, scaler)
-            timing["per_loss"][kind] = time.perf_counter() - t0
+                tasks, workers)) as results:
+            for kind, (w, scaler, seconds, epochs) in zip(cfg.losses,
+                                                          results):
+                emit(f"model_{kind}.json", f"history_{kind}.csv")
+                models[kind] = (w, scaler)
+                timing["per_loss"][kind] = {"train_s": seconds,
+                                            "epochs": epochs}
 
     with stage("predict"):
         name = f"forecast_{BASELINE_MODEL}.csv"
@@ -287,13 +338,11 @@ def run_experiment(cfg):
             cfg, path(name))}
         emit(name)
         for kind, (w, scaler) in models.items():
-            t0 = time.perf_counter()
             lam, mu = network.predict_params(test_table, w, scaler)
             name = f"forecast_nn_{kind}.csv"
             forecasts[f"nn_{kind}"] = write_forecast(
                 test_table, lam, mu, horizon, cfg, path(name))
             emit(name)
-            timing["per_loss"][kind] += time.perf_counter() - t0
         manifest["degenerate_forecasts"] = [
             f"forecast_{model}.csv" for model, fc in forecasts.items()
             if forecast.degenerate_reason(fc)]

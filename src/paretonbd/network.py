@@ -126,6 +126,10 @@ class NetworkWeights:
         views = [v.reshape(a.shape) for v, a in zip(np.split(self.flat, ends), arrays)]
         self.weights, self.biases = views[:len(weights)], views[len(weights):]
 
+    def __reduce__(self):
+        # Rebuild on unpickling, so the views alias the new ``flat``.
+        return NetworkWeights, (self.weights, self.biases)
+
     def arrays(self):
         return self.weights + self.biases
 

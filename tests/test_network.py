@@ -7,6 +7,7 @@ a small batch.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ def test_init_weights_deterministic():
     spec = NetworkSpec(input_dim=3)
     a, b = init_weights(spec, seed=11), init_weights(spec, seed=11)
     assert all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+
+
+def test_weights_survive_pickling_as_views_of_flat():
+    w = init_weights(NetworkSpec(input_dim=3), seed=5)
+    back = pickle.loads(pickle.dumps(w))
+    assert np.array_equal(back.flat, w.flat)
+    assert all(np.array_equal(x, y) for x, y in zip(back.arrays(), w.arrays()))
+    assert all(np.shares_memory(a, back.flat) for a in back.arrays())
+    back.flat += 1.0
+    assert all(np.array_equal(x, y + 1.0)
+               for x, y in zip(back.arrays(), w.arrays()))
 
 
 # ---------------------------------------------------------------------------
