@@ -23,6 +23,7 @@ outside, go through ``ingest_csv`` and its line-numbered checks.
 import csv
 import datetime
 import logging
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,7 +120,7 @@ def make_log(records):
     """Sort records and derive the window bounds from the observed dates."""
     if not records:
         raise ValueError("no records")
-    ordered = sorted(records, key=lambda r: (r.customer_id, r.date))
+    ordered = sorted(records, key=operator.attrgetter("customer_id", "date"))
     dates = [r.date for r in ordered]
     return TransactionLog(ordered, min(dates), max(dates))
 

@@ -87,6 +87,17 @@ def test_simulate_window_flags_default_to_make_cohort(tmp_path, flags, windows):
     assert (tmp_path / "transactions.csv").read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--acquisition-weeks", "0"], "acquisition_weeks=0, total_weeks=104"),
+    (["--weeks", "0"], "acquisition_weeks=26, total_weeks=0"),
+])
+def test_simulate_cli_rejects_bad_window(tmp_path, capsys, flags, message):
+    assert cli.main(["simulate", "--n", "25", "--out", str(tmp_path),
+                     *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "transactions.csv").exists()
+
+
 def test_ingest_cli_normalizes_cdnow(tmp_path, capsys):
     raw = tmp_path / "raw.txt"
     raw.write_text("00001 19970102 1 11.77\n"

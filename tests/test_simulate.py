@@ -5,6 +5,8 @@ moments and CDFs of the generating process.
 """
 
 import datetime
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -101,12 +103,92 @@ def test_simulate_log_determinism():
     assert a.records != c.records
 
 
+def _records_digest(records):
+    """sha256 over every field of every record, spend as its exact repr."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(f"{r.customer_id},{r.date.isoformat()},{r.spend!r},"
+                 f"{r.units}\n".encode())
+    return h.hexdigest()
+
+
+def test_simulator_records_pinned():
+    # Recorded with np.round / np.floor on the per-record path; the Python
+    # float path must match it.  Any changed draw, rounding, date or order
+    # shows here.
+    cohort = simulate.make_cohort(300, 5)
+    assert len(cohort.log.records) == 1203
+    assert _records_digest(cohort.log.records) == (
+        "fa886452186ea716d1618a743fbdbc518bf4921abf882c4d1a7ddfbac2693d09")
+    start = datetime.date(2021, 3, 1)
+    end = start + datetime.timedelta(days=200)
+    acq = [start, start + datetime.timedelta(days=3), start,
+           start + datetime.timedelta(days=40), end]
+    log = simulate.simulate_log([0.0, 0.4, 1.5, 0.2, 0.3],
+                                [0.05, 0.0, 0.1, 0.0, 0.02], acq, end,
+                                seed=17, customer_ids=["z", "b", "a", "m", "q"])
+    assert len(log.records) == 68
+    assert _records_digest(log.records) == (
+        "e5bfa1ffd677774f90d7c064e617e8fe346a5c3ddb4b1099fb02a7a7a66c0a3d")
+
+
+def test_spend_rounding_matches_numpy_round():
+    # The simulator rounds spend as round(v * 100) / 100 on Python floats.
+    draws = np.random.default_rng(21).gamma(2.0, 15.0, size=100_000).tolist()
+    halfway = [(2 * k + 1) / 8 for k in range(4000)]
+    for v in draws + halfway:
+        assert round(v * 100.0) / 100.0 == float(np.round(v, 2))
+    # exact halves in cents, where half-to-even and half-away differ
+    assert [round(v * 100.0) / 100.0 for v in (0.125, 0.375)] == [0.12, 0.38]
+    for t in draws:
+        assert math.floor(t * 7.0) == int(np.floor(t * 7.0))
+
+
 def test_simulate_log_rejects_late_acquisition():
     start = datetime.date(2021, 3, 1)
     with pytest.raises(ValueError):
         simulate.simulate_log([0.1], [0.1],
                               [start + datetime.timedelta(days=10)],
                               start, seed=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"lam": [0.1, 0.3]}, "lam"),
+    ({"mu": [0.1, 0.1, 0.1, 0.1]}, "mu"),
+    ({"acquisition": [datetime.date(2021, 3, 1)] * 2}, "acquisition"),
+    ({"customer_ids": ["a"]}, "lam"),
+])
+def test_simulate_log_rejects_unequal_lengths(kwargs, name):
+    start = datetime.date(2021, 3, 1)
+    args = {"lam": [0.1, 0.3, 0.2], "mu": [0.1] * 3,
+            "acquisition": [start] * 3,
+            "end_date": start + datetime.timedelta(days=70), "seed": 1,
+            "customer_ids": ["a", "b", "c"], **kwargs}
+    with pytest.raises(ValueError, match=name):
+        simulate.simulate_log(**args)
+
+
+@pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["lam", "mu"])
+def test_simulate_log_rejects_bad_rates(name, bad):
+    start = datetime.date(2021, 3, 1)
+    rates = {"lam": [0.1, 0.2], "mu": [0.1, 0.2]}
+    rates[name] = [0.1, bad]
+    with pytest.raises(ValueError, match=name):
+        simulate.simulate_log(rates["lam"], rates["mu"], [start] * 2,
+                              start + datetime.timedelta(days=70), seed=1)
+
+
+@pytest.mark.parametrize("windows", [
+    {"acquisition_weeks": 0},
+    {"acquisition_weeks": -3},
+    {"acquisition_weeks": 0.1},
+    {"total_weeks": 0},
+    {"total_weeks": 20, "acquisition_weeks": 26},
+])
+def test_make_cohort_rejects_bad_window(windows):
+    with pytest.raises(ValueError, match="acquisition_weeks=.*total_weeks="):
+        simulate.make_cohort(10, seed=1, **windows)
 
 
 def test_make_cohort_structure():
