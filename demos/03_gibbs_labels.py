@@ -3,15 +3,16 @@ posterior means against the generator's truth.
 
 The sampler augments the data with latent alive indicators and dropout
 times so every conditional is a Gamma draw; hyperparameters get slice
-updates.  Posterior means over the kept sweeps become the training labels
-for the surrogate network.
+updates.  It is the reference for the pipeline's empirical-Bayes labels
+(paretonbd.posterior.fit_eb), and its posterior means over the kept sweeps
+are written in the same labels file format.
 """
 
 import datetime
 
 import numpy as np
 
-from paretonbd import data, gibbs, simulate
+from paretonbd import data, gibbs, posterior, simulate
 
 
 def main():
@@ -44,8 +45,8 @@ def main():
               f"mu_hat={post.mean_mu[i]:.4f} (true {cohort.mu[i]:.4f})")
 
     out = "demo_labels.csv"
-    gibbs.write_labels_csv(out, post.customer_ids,
-                           post.mean_lambda, post.mean_mu)
+    posterior.write_labels_csv(out, post.customer_ids,
+                               post.mean_lambda, post.mean_mu)
     print(f"\nlabels written to {out}")
 
 

@@ -1,5 +1,5 @@
-"""Train the neural surrogate on Gibbs labels and predict rates for
-customers the sampler never saw.
+"""Train the neural surrogate on empirical-Bayes labels, as the pipeline
+does, and predict rates for customers it never saw.
 
 The network maps standardized (x, t_x, T) to (lam, mu) through an exp
 output layer.  Losses range from plain parameter-space MSE to objectives
@@ -8,7 +8,7 @@ that embed the model likelihood of each customer's own history.
 
 import numpy as np
 
-from paretonbd import data, gibbs, network, simulate
+from paretonbd import data, network, posterior, simulate
 
 
 def main():
@@ -19,11 +19,10 @@ def main():
     print(f"{len(train_table)} in-sample / {len(test_table)} out-of-sample "
           f"customers, split at {split.split_date}")
 
-    chain_cfg = gibbs.ChainConfig(sweeps=1200, burn_in=400, seed=2)
-    train_post = gibbs.run_chain(train_table, chain_cfg)
-    test_post = gibbs.run_chain(test_table, chain_cfg)
-    print("Gibbs labels ready (the test-side chain is only a reference "
-          "for judging the surrogate)")
+    train_post = posterior.fit_eb(train_table)
+    test_post = posterior.fit_eb(test_table)
+    print("empirical-Bayes labels ready (the test-side fit is only a "
+          "reference for judging the surrogate)")
 
     cfg = network.TrainingConfig(epochs=200, batch_size=64,
                                  learning_rate=1e-3, seed=7,

@@ -38,15 +38,14 @@ from .data import (
     summarize_rfm,
     write_transactions_csv,
 )
-from .gibbs import (
-    ChainConfig,
+from .posterior import (
     HyperParams,
     PosteriorSummary,
+    fit_eb,
     read_labels_csv,
-    run_chain,
     write_labels_csv,
 )
-from .posterior import fit_eb
+from .gibbs import ChainConfig, run_chain
 from .simulate import (
     DEFAULT_HYPER,
     SyntheticCohort,

@@ -24,7 +24,7 @@ import sys
 from dataclasses import fields, replace
 
 from . import config as config_mod
-from . import data, experiment, forecast, gibbs, network, simulate
+from . import data, experiment, forecast, gibbs, network, posterior, simulate
 
 
 def _require(path):
@@ -45,8 +45,9 @@ def _config(args, base=None):
     return replace(base or config_mod.ExperimentConfig(), **given)
 
 
-def _align_labels(table, ids, lam, mu, path):
-    """Reorder a labels file to the summaries' customer order."""
+def _read_labels(table, path):
+    """(lam, mu) of a labels file, in the summaries' customer order."""
+    ids, lam, mu = posterior.read_labels_csv(_require(path))
     index = {cid: i for i, cid in enumerate(ids)}
     if len(index) != len(ids):
         raise ValueError(f"{path}: duplicate customer ids")
@@ -70,7 +71,7 @@ def cmd_ingest(args):
 
 
 def cmd_simulate(args):
-    hyper = gibbs.HyperParams(r=args.r, alpha=args.alpha, s=args.s, beta=args.beta)
+    hyper = posterior.HyperParams(r=args.r, alpha=args.alpha, s=args.s, beta=args.beta)
     windows = {k: getattr(args, k) for k in ("total_weeks", "acquisition_weeks")
                if getattr(args, k) is not None}
     cohort = simulate.make_cohort(args.n, args.seed, hyper=hyper, **windows)
@@ -78,7 +79,7 @@ def cmd_simulate(args):
     tx_path = os.path.join(args.out, "transactions.csv")
     data.write_transactions_csv(tx_path, cohort.log)
     truth_path = os.path.join(args.out, "truth.csv")
-    gibbs.write_labels_csv(truth_path, cohort.customer_ids, cohort.lam, cohort.mu)
+    posterior.write_labels_csv(truth_path, cohort.customer_ids, cohort.lam, cohort.mu)
     print(f"{args.n} customers, {len(cohort.log.records)} transactions "
           f"-> {tx_path}, truth -> {truth_path}")
     return 0
@@ -102,8 +103,8 @@ def cmd_fit_mcmc(args):
         sweeps=args.sweeps, burn_in=args.burn_in, thin=args.thin,
         seed=_config(args).seed, keep_hyper_trace=args.trace is not None)
     post = gibbs.run_chain(table, chain_cfg)
-    gibbs.write_labels_csv(args.out, post.customer_ids,
-                           post.mean_lambda, post.mean_mu)
+    posterior.write_labels_csv(args.out, post.customer_ids,
+                               post.mean_lambda, post.mean_mu)
     if args.trace is not None:
         gibbs.write_hyper_trace_csv(args.trace, post.hyper_trace)
     _print_hyper(table, args.out, "posterior mean", post.hyper_mean)
@@ -112,8 +113,7 @@ def cmd_fit_mcmc(args):
 
 def cmd_train_nn(args):
     table = data.CalibrationTable.from_csv(_require(args.summaries))
-    ids, lam, mu = gibbs.read_labels_csv(_require(args.labels))
-    lam, mu = _align_labels(table, ids, lam, mu, args.labels)
+    lam, mu = _read_labels(table, args.labels)
     cfg = _config(args)
     _, _, history = experiment.fit_model(
         table, lam, mu, cfg, args.loss, cfg.seed, args.out,
@@ -130,8 +130,7 @@ def cmd_predict(args):
         _, w, scaler, _ = network.load_model(_require(args.model))
         lam, mu = network.predict_params(table, w, scaler)
     else:
-        ids, lam, mu = gibbs.read_labels_csv(_require(args.labels))
-        lam, mu = _align_labels(table, ids, lam, mu, args.labels)
+        lam, mu = _read_labels(table, args.labels)
     fc = experiment.write_forecast(table, lam, mu, args.horizon,
                                    _config(args), args.out)
     print(f"{len(fc)} customers, {int(fc.count_pred.sum())} predicted purchases, "

@@ -30,6 +30,7 @@ the network and training defaults from NetworkSpec and TrainingConfig):
   seed                   global seed
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .forecast import DEFAULT_THRESHOLD, ROUNDING_MODES
@@ -85,8 +86,9 @@ class ExperimentConfig:
             raise ValueError("train_fraction must lie strictly in (0, 1)")
         if self.cap < 1:
             raise ValueError("cap must be at least 1")
-        if self.horizon_weeks is not None and self.horizon_weeks <= 0:
-            raise ValueError("horizon_weeks must be positive")
+        if (self.horizon_weeks is not None
+                and not 0.0 < self.horizon_weeks < math.inf):
+            raise ValueError("horizon_weeks must be positive and finite")
         return self
 
 

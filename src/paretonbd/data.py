@@ -345,8 +345,15 @@ class CalibrationTable:
             raise ValueError("covariate names do not match covariate columns")
         if (self.x < 0).any() or (self.holdout_count < 0).any():
             raise ValueError("negative counts")
-        if (self.t_x < 0).any() or (self.t_x > self.T).any():
+        # one pass for the order and for finite values: NaN fails every test
+        if not ((self.t_x >= 0) & (self.t_x <= self.T) & (self.T < np.inf)).all():
+            for name in ("t_x", "T"):
+                if not np.isfinite(getattr(self, name)).all():
+                    raise ValueError(f"{name} must be finite")
             raise ValueError("recency must satisfy 0 <= t_x <= T")
+        if self.covariate_names and not np.isfinite(self.covariates).all():
+            name = self.covariate_names[np.isfinite(self.covariates).all(0).argmin()]
+            raise ValueError(f"covariate {name!r} must be finite")
         if ((self.x == 0) & (self.t_x != 0)).any():
             raise ValueError("x == 0 requires t_x == 0")
 

@@ -5,7 +5,7 @@ out-of-sample cohorts, and fits per-customer (lam, mu) labels twice: on the
 in-sample cohort as training labels and on the out-of-sample cohort as the
 Pareto/NBD baseline estimates.  The labels are empirical-Bayes posterior
 means: exact per-customer means at the mode of the posterior of (log r,
-log alpha, log s, log beta) under the Gibbs sampler's hyperprior
+log alpha, log s, log beta) under the hyperprior HYPER_PRIOR
 (paretonbd.posterior).  The stage keeps the name "mcmc" in MANIFEST.json and
 timing.json.  Stage 2 trains one network per configured loss kind on the
 labeled in-sample summaries, in forked worker processes, one per usable CPU
@@ -41,7 +41,7 @@ from functools import partial
 
 import numpy as np
 
-from . import data, forecast, gibbs, metrics, network, posterior
+from . import data, forecast, metrics, network, posterior
 
 logger = logging.getLogger(__name__)
 
@@ -93,8 +93,8 @@ def fit_labels(table, path):
     labels CSV at path; returns the PosteriorSummary, whose hyper_mean is
     the posterior mode of the population hyperparameters."""
     post = posterior.fit_eb(table)
-    gibbs.write_labels_csv(path, post.customer_ids,
-                           post.mean_lambda, post.mean_mu)
+    posterior.write_labels_csv(path, post.customer_ids,
+                               post.mean_lambda, post.mean_mu)
     return post
 
 

@@ -1,5 +1,8 @@
 """Data-augmented Gibbs sampler for per-customer (lam, mu) posteriors.
 
+A reference for the pipeline's empirical-Bayes labels (paretonbd.posterior),
+whose types, hyperprior and input check it shares; only fit-mcmc runs it.
+
 The model: lam_i ~ Gamma(r, rate alpha), mu_i ~ Gamma(s, rate beta),
 purchases Poisson(lam_i) until an Exp(mu_i) dropout.  Augmenting each
 customer with an alive indicator z_i and, when dead, a dropout time
@@ -35,31 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .data import read_csv, write_csv
+from .data import write_csv
 from .likelihood import RATE_FLOOR, _conditional_p_alive, conditional_p_alive
+from .posterior import HYPER_PRIOR, HyperParams, PosteriorSummary, fit_inputs
 
 # Guard against float underflow of Gamma draws with very small shapes; rates
 # this small are indistinguishable from zero for any horizon of interest.
 _DRAW_FLOOR = np.finfo(float).tiny
-
-
-@dataclass
-class HyperParams:
-    """Shapes and rates of the two mixing Gammas: lam ~ (r, alpha), mu ~ (s, beta)."""
-
-    r: float
-    alpha: float
-    s: float
-    beta: float
-
-    def __post_init__(self):
-        for name in ("r", "alpha", "s", "beta"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"hyperparameter {name} must be positive, got {v}")
-
-    def as_array(self):
-        return np.array([self.r, self.alpha, self.s, self.beta])
 
 
 @dataclass
@@ -68,7 +53,7 @@ class ChainConfig:
     burn_in: int = 1000
     thin: int = 2
     seed: int = 0
-    hyper_prior: tuple = (1e-3, 1e-3)
+    hyper_prior: tuple = HYPER_PRIOR
     keep_hyper_trace: bool = False
     # When set, (r, alpha, s, beta) stay at these values and only the
     # per-customer conditionals run; used by calibration tests.
@@ -79,17 +64,6 @@ class ChainConfig:
             raise ValueError("sweeps must exceed burn_in")
         if self.burn_in < 0 or self.thin < 1:
             raise ValueError("burn_in must be >= 0 and thin >= 1")
-
-
-@dataclass
-class PosteriorSummary:
-    """Post-burn-in posterior means, per customer and for the population."""
-
-    customer_ids: list
-    mean_lambda: np.ndarray
-    mean_mu: np.ndarray
-    hyper_mean: HyperParams
-    hyper_trace: np.ndarray | None = None
 
 
 def draw_alive(x, t_x, T, lam, mu, u):
@@ -350,15 +324,8 @@ def run_chain(table, cfg):
     ``thin`` sweeps; the population summary averages the hyperparameter
     draws at the same points.
     """
-    n = len(table)
-    if n == 0:
-        raise ValueError("no customers to fit")
-    x = np.asarray(table.x, dtype=float)
-    t_x = np.asarray(table.t_x, dtype=float)
-    T = np.asarray(table.T, dtype=float)
-    if np.any(T <= 0):
-        raise ValueError("exposure must be positive")
-
+    x, t_x, T = fit_inputs(table)
+    n = len(x)
     span = T - t_x
     rng = np.random.default_rng(cfg.seed)
     lam = (x + 1.0) / T
@@ -375,12 +342,13 @@ def run_chain(table, cfg):
         lam, mu, hyper = gibbs_sweep(x, t_x, T, lam, mu, hyper, cfg, rng,
                                      span)
         if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
+            draw = np.array([hyper.r, hyper.alpha, hyper.s, hyper.beta])
             sum_lam += lam
             sum_mu += mu
-            sum_hyper += hyper.as_array()
+            sum_hyper += draw
             kept += 1
             if trace is not None:
-                trace.append(hyper.as_array())
+                trace.append(draw)
 
     hyper_mean = HyperParams(*(sum_hyper / kept))
     return PosteriorSummary(
@@ -390,21 +358,6 @@ def run_chain(table, cfg):
         hyper_mean=hyper_mean,
         hyper_trace=np.asarray(trace) if trace is not None else None,
     )
-
-
-LABEL_COLUMNS = ("customer_id", "lambda", "mu")
-
-
-def write_labels_csv(path, customer_ids, lam, mu):
-    """Labels file: one (lambda, mu) row per customer."""
-    write_csv(path, LABEL_COLUMNS, [customer_ids, np.asarray(lam, dtype=float),
-                                    np.asarray(mu, dtype=float)])
-
-
-def read_labels_csv(path):
-    cols = read_csv(path, LABEL_COLUMNS, "labels")
-    return (list(cols["customer_id"]), np.array(cols["lambda"], dtype=float),
-            np.array(cols["mu"], dtype=float))
 
 
 def write_hyper_trace_csv(path, trace):

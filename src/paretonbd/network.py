@@ -102,8 +102,8 @@ class TrainingConfig:
     validation_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
         if not 0.0 <= self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in [0, 1)")
 

@@ -24,19 +24,25 @@ log-likelihood agrees with the closed-form hypergeometric expression to
 ``fit_eb`` finds the mode of the log-posterior in (log r, log alpha, log s,
 log beta), with each parameter p under a Gamma(a0, rate b0) prior (a0 log p
 - b0 p on the log scale), by BFGS with backtracking, then returns the
-posterior means at the mode as a ``gibbs.PosteriorSummary``.  The prior is
-the Gibbs sampler's (``ChainConfig.hyper_prior``); it keeps the mode
+posterior means at the mode as a ``PosteriorSummary``.  The prior,
+``HYPER_PRIOR``, is also the Gibbs sampler's default; it keeps the mode
 interior where the likelihood alone runs off to a homogeneous-mu boundary
 (s, beta -> infinity).  Empirical-Bayes route: Schmittlein, Morrison &
 Colombo 1987; Fader, Hardie & Lee 2005; Abe 2009.
+
+The label types, input check (``fit_inputs``) and labels CSV shared with
+the reference Gibbs sampler (paretonbd.gibbs) live here.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, psi
 
-from .gibbs import ChainConfig, HyperParams, PosteriorSummary
+from .data import read_csv, write_csv
 from .likelihood import RATE_FLOOR
 
+HYPER_PRIOR = (1e-3, 1e-3)  # (a0, b0) of each parameter's Gamma prior
 NODES = 24
 # Customers per kernel call.  Each of the kernel's four (CHUNK, NODES)
 # float buffers stays under 128 KiB, small enough for the allocator to serve
@@ -45,6 +51,43 @@ NODES = 24
 CHUNK = 512
 # e-folds of (alpha+tau)**-(r+x) covered; the rest is below double precision
 _EFOLDS = 40.0
+
+
+@dataclass
+class HyperParams:
+    """Shapes and rates of the two mixing Gammas: lam ~ (r, alpha), mu ~ (s, beta)."""
+
+    r: float
+    alpha: float
+    s: float
+    beta: float
+
+    def __post_init__(self):
+        for name in ("r", "alpha", "s", "beta"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v <= 0:
+                raise ValueError(f"hyperparameter {name} must be positive, got {v}")
+
+
+@dataclass
+class PosteriorSummary:
+    """Posterior means per customer; hyper_mean is fit_eb's mode or the Gibbs mean."""
+
+    customer_ids: list
+    mean_lambda: np.ndarray
+    mean_mu: np.ndarray
+    hyper_mean: HyperParams
+    hyper_trace: np.ndarray | None = None
+
+
+def fit_inputs(table):
+    """(x, t_x, T) of a CalibrationTable as float arrays, t_x and T its own,
+    for either label fit; raises ValueError for an empty table or T <= 0."""
+    if len(table) == 0:
+        raise ValueError("no customers to fit")
+    if np.any(table.T <= 0):
+        raise ValueError("exposure must be positive")
+    return np.asarray(table.x, dtype=float), table.t_x, table.T
 
 
 def _gauss_legendre(n):
@@ -145,7 +188,7 @@ def _terms(x, t_x, T, r, alpha, s, beta):
     return log_lik, p_dead, e_log_a, e_inv_a, e_log_b, e_mu
 
 
-def log_posterior(x, t_x, T, z, hyper_prior=ChainConfig.hyper_prior):
+def log_posterior(x, t_x, T, z, hyper_prior=HYPER_PRIOR):
     """Log-posterior of z = (log r, log alpha, log s, log beta) given the
     summaries, and its gradient in z.  Each parameter p carries the prior
     term a0 log p - b0 p; hyper_prior = (0, 0) leaves the log-likelihood."""
@@ -224,18 +267,12 @@ def _bfgs(objective, z):
     return z
 
 
-def fit_eb(table, hyper_prior=ChainConfig.hyper_prior):
+def fit_eb(table, hyper_prior=HYPER_PRIOR):
     """Posterior mode in (log r, log alpha, log s, log beta) and each
     customer's exact posterior means at it; returns a PosteriorSummary whose
     hyper_mean is the mode (no trace)."""
-    n = len(table)
-    if n == 0:
-        raise ValueError("no customers to fit")
-    x = np.asarray(table.x, dtype=float)
-    t_x = np.asarray(table.t_x, dtype=float)
-    T = np.asarray(table.T, dtype=float)
-    if np.any(T <= 0):
-        raise ValueError("exposure must be positive")
+    x, t_x, T = fit_inputs(table)
+    n = len(x)
 
     def objective(z):
         # the per-customer mean keeps the gradient O(1) for BFGS's first step
@@ -248,3 +285,18 @@ def fit_eb(table, hyper_prior=ChainConfig.hyper_prior):
     lam, mu = posterior_means(x, t_x, T, hyper)
     return PosteriorSummary(customer_ids=list(table.customer_ids),
                             mean_lambda=lam, mean_mu=mu, hyper_mean=hyper)
+
+
+LABEL_COLUMNS = ("customer_id", "lambda", "mu")
+
+
+def write_labels_csv(path, customer_ids, lam, mu):
+    """Labels file: one (lambda, mu) row per customer."""
+    write_csv(path, LABEL_COLUMNS, [customer_ids, np.asarray(lam, dtype=float),
+                                    np.asarray(mu, dtype=float)])
+
+
+def read_labels_csv(path):
+    cols = read_csv(path, LABEL_COLUMNS, "labels")
+    return (list(cols["customer_id"]), np.array(cols["lambda"], dtype=float),
+            np.array(cols["mu"], dtype=float))

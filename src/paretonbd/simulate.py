@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DAYS_PER_WEEK, TransactionRecord, make_log
-from .gibbs import HyperParams
+from .posterior import HyperParams
 
 # Default generating regime: mean purchase rate 0.05/week and mean dropout
 # hazard 0.02/week (50-week mean lifetime), which yields sparsity similar to

@@ -11,12 +11,14 @@ import datetime
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretonbd import cli, config, data, forecast, gibbs, simulate
+from paretonbd import cli, config, data, forecast, gibbs, posterior, simulate
 from paretonbd.experiment import stage_seed
 
 RUN_SEED = 3
@@ -198,8 +200,8 @@ def test_fit_mcmc_matches_library_chain(pipeline, tmp_path, capsys):
                            gibbs.ChainConfig(sweeps=150, burn_in=50, thin=2,
                                              seed=17))
     want = tmp_path / "want.csv"
-    gibbs.write_labels_csv(str(want), post.customer_ids, post.mean_lambda,
-                           post.mean_mu)
+    posterior.write_labels_csv(str(want), post.customer_ids, post.mean_lambda,
+                               post.mean_mu)
     assert out.read_bytes() == want.read_bytes()
     assert len(trace.read_text().splitlines()) == 1 + 50
 
@@ -217,6 +219,23 @@ def test_fit_labels_prints_the_mode_and_takes_no_chain_flags(pipeline,
     assert not (tmp_path / "flagged.csv").exists()
 
 
+def test_fit_labels_rejects_a_non_finite_summary(tmp_path):
+    # NaN fails every comparison: unchecked, it would keep the fit's line
+    # search from ever ending, so the subprocess runs under a timeout
+    summaries, out = tmp_path / "summaries.csv", tmp_path / "labels.csv"
+    summaries.write_text("customer_id,x,t_x,T,holdout_count\n"
+                         "a,2,30.0,52.0,0\nb,1,10.0,nan,1\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "paretonbd.cli", "fit-labels",
+         "--summaries", str(summaries), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: T must be finite\n"
+    assert not out.exists()
+
+
 def _hand_summaries(path):
     # ids with a comma or a quote must be quoted in every CSV artifact
     table = data.CalibrationTable(
@@ -230,8 +249,8 @@ def test_predict_from_labels_matches_library(tmp_path):
     table = _hand_summaries(tmp_path / "summaries.csv")
     lam = np.array([0.01, 0.2, 0.3])
     mu = np.array([5.0, 0.02, 0.01])
-    from paretonbd.gibbs import write_labels_csv
-    write_labels_csv(str(tmp_path / "labels.csv"), table.customer_ids, lam, mu)
+    posterior.write_labels_csv(str(tmp_path / "labels.csv"),
+                               table.customer_ids, lam, mu)
     out = tmp_path / "fc.csv"
     assert cli.main(["predict", "--summaries", str(tmp_path / "summaries.csv"),
                      "--labels", str(tmp_path / "labels.csv"),
@@ -336,6 +355,18 @@ def test_config_rejects_unknown_and_duplicate_keys(tmp_path):
     path.write_text("dataset = d.csv\nout = o\nsweeps = 4000\n")
     with pytest.raises(ValueError, match="unknown key 'sweeps'"):
         config.parse_config(str(path))
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1", "nan", "inf"])
+def test_run_rejects_a_bad_horizon_before_any_stage(tmp_path, capsys,
+                                                     horizon):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(f"dataset = {cfg_path}\nout = {tmp_path / 'out'}\n"
+                        f"horizon_weeks = {horizon}\n")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: horizon_weeks must be positive and finite\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_flags_override_config_file(pipeline, tmp_path):

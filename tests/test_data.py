@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from paretonbd import data, gibbs
+from paretonbd import data, posterior
 from paretonbd.data import TransactionRecord
 
 D = datetime.date
@@ -351,13 +351,13 @@ def test_crlf_summaries_and_labels_read_back(tmp_path):
     for name in ("x", "t_x", "T", "holdout_count", "covariates"):
         assert np.array_equal(getattr(back, name), getattr(table, name))
     assert back.covariate_names == table.covariate_names
-    ids, back_lam, back_mu = gibbs.read_labels_csv(old_labels)
+    ids, back_lam, back_mu = posterior.read_labels_csv(old_labels)
     assert ids == table.customer_ids
     assert back_lam.tolist() == lam and back_mu.tolist() == mu
 
     new_summaries, new_labels = tmp_path / "new_s.csv", tmp_path / "new_l.csv"
     back.to_csv(new_summaries)
-    gibbs.write_labels_csv(new_labels, ids, back_lam, back_mu)
+    posterior.write_labels_csv(new_labels, ids, back_lam, back_mu)
     for old, new in ((old_summaries, new_summaries), (old_labels, new_labels)):
         assert old.read_bytes().replace(b"\r\n", b"\n") == new.read_bytes()
 
@@ -373,7 +373,7 @@ def test_read_csv_rejects_malformed_files(tmp_path, content, message):
     path = tmp_path / "labels.csv"
     path.write_text(content)
     with pytest.raises(ValueError, match=message) as err:
-        gibbs.read_labels_csv(path)
+        posterior.read_labels_csv(path)
     assert str(err.value).startswith(f"{path}: ")
 
 
@@ -394,6 +394,13 @@ def test_empty_summaries_file_names_the_file(tmp_path):
     ((["a"], [1], [-1.0], [5.0], [0]), {}, "recency must satisfy"),
     ((["a"], [1], [6.0], [5.0], [0]), {}, "recency must satisfy"),
     ((["a"], [0], [3.0], [5.0], [0]), {}, "x == 0 requires t_x == 0"),
+    ((["a"], [1], [0.0], [np.nan], [0]), {}, "T must be finite"),
+    ((["a"], [1], [0.0], [np.inf], [0]), {}, "T must be finite"),
+    ((["a"], [1], [np.nan], [5.0], [0]), {}, "t_x must be finite"),
+    ((["a", "b"], [1, 2], [0.0, 1.0], [5.0, 5.0], [0, 0]),
+     {"covariates": [[1.0, 2.0], [3.0, np.nan]],
+      "covariate_names": ("units", "total_spend")},
+     "covariate 'total_spend' must be finite"),
 ])
 def test_table_error_messages(columns, kwargs, message):
     with pytest.raises(ValueError, match=message):

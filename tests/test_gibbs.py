@@ -14,7 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from paretonbd import data, gibbs, simulate
+from paretonbd import data, gibbs, posterior, simulate
 from paretonbd.gibbs import ChainConfig, HyperParams
 from paretonbd.likelihood import conditional_p_alive
 
@@ -510,8 +510,8 @@ def test_labels_csv_round_trip(tmp_path):
     mu = np.array([0.01, 0.3, 0.007])
     path = tmp_path / "labels.csv"
     for ids in (["a", "b", "c"], ["a,b", 'q"x', "c"]):
-        gibbs.write_labels_csv(path, ids, lam, mu)
-        back_ids, back_lam, back_mu = gibbs.read_labels_csv(path)
+        posterior.write_labels_csv(path, ids, lam, mu)
+        back_ids, back_lam, back_mu = posterior.read_labels_csv(path)
         assert back_ids == ids
         assert np.array_equal(back_lam, lam)
         assert np.array_equal(back_mu, mu)

@@ -441,6 +441,9 @@ def test_train_validates_inputs():
         train(table, lam, mu, TrainingConfig(batch_size=64), "mse")
     with pytest.raises(ValueError, match="align"):
         train(table, lam[:-1], mu[:-1], TrainingConfig(batch_size=8), "mse")
+    for rate in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            TrainingConfig(learning_rate=rate)
 
 
 @pytest.mark.parametrize("label", ["lam", "mu"])

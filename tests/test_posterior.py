@@ -3,8 +3,11 @@ closed-form hypergeometric likelihood, finite differences and fixed-hyper
 Gibbs chains; the mode fit against recorded maximum-likelihood estimates.
 """
 
+import ast
 import datetime
+import inspect
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -16,7 +19,8 @@ from scipy.special import gammaln, hyp2f1
 
 from paretonbd import data, gibbs, posterior, simulate
 from paretonbd.experiment import stage_seed
-from paretonbd.gibbs import ChainConfig, HyperParams
+from paretonbd.gibbs import ChainConfig
+from paretonbd.posterior import HyperParams
 
 
 @pytest.mark.parametrize("n", [8, 24, 32])
@@ -206,3 +210,33 @@ def test_default_pipeline_does_not_import_scipy_optimize(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _package_imports(path):
+    """Names of the package modules that a source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module
+                         else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if (node.module or "").startswith("paretonbd."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("paretonbd."))
+    return names
+
+
+def test_only_the_cli_and_package_root_import_the_sampler():
+    src = pathlib.Path(posterior.__file__).parent
+    graph = {path.stem: _package_imports(path) for path in src.glob("*.py")}
+    assert sorted(m for m, deps in graph.items() if "gibbs" in deps) == [
+        "__init__", "cli"]
+    assert not {"gibbs", "network"} & graph["posterior"]
+    assert gibbs.HyperParams is posterior.HyperParams
+    assert gibbs.PosteriorSummary is posterior.PosteriorSummary
+    assert ChainConfig().hyper_prior is posterior.HYPER_PRIOR
+    for fit in (posterior.fit_eb, posterior.log_posterior):
+        default = inspect.signature(fit).parameters["hyper_prior"].default
+        assert default is posterior.HYPER_PRIOR

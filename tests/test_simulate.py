@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from paretonbd import data, simulate
-from paretonbd.gibbs import HyperParams
+from paretonbd.posterior import HyperParams
 from paretonbd.likelihood import log_likelihood
 
 # 1% critical value of the one-sample KS statistic, asymptotic
